@@ -179,6 +179,16 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+def _unfold_depth(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return depth
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdts",
@@ -216,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = ccs_sub.add_parser("compile", help="compile a term to a precubical set")
     c.add_argument("term")
     c.add_argument("--alphabet", required=True)
-    c.add_argument("--unfold", type=int, default=8)
+    c.add_argument("--unfold", type=_unfold_depth, default=8)
     c.add_argument("--out", choices=["json", "dot"], default="json")
     c.add_argument("--output", help="file to write instead of stdout")
     c.set_defaults(func=cmd_ccs_compile)

@@ -267,15 +267,6 @@ def standard_cube(word: Sequence[str]) -> PrecubicalSet:
     return make_precube(cells, faces, syms, labels, check=False)
 
 
-def cube_cell_encoding(n: int, m: int, cell: int) -> CubeEncoding:
-    """The encoding behind cell ``cell`` of dimension ``m`` in an n-cube."""
-    return all_encodings(m, n)[cell]
-
-
-def cube_cell_id(n: int, enc: CubeEncoding) -> int:
-    return all_encodings(enc.m, n).index(enc)
-
-
 def truncate(K: PrecubicalSet, n: int) -> PrecubicalSet:
     """Drop every cell above dimension ``n``; ids are preserved."""
     cells = {d: ids for d, ids in K.cells.items() if d <= n}

@@ -200,6 +200,7 @@ def precube_from_json(doc) -> PrecubicalSet:
         _need(len(set(ids)) == len(ids), f"dims.{key}", "duplicate cell ids")
         cells[n] = ids
     decoration = {}
+    _need(isinstance(doc.get("decoration", {}), dict), "decoration", "must be an object")
     for vk, d in doc.get("decoration", {}).items():
         _need(vk.lstrip("-").isdigit(), f"decoration.{vk}", "keys must be vertex ids")
         _need(isinstance(d, str), f"decoration.{vk}", "must be a string")

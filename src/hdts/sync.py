@@ -9,6 +9,15 @@ and whose edges can be chosen consistently.  The synchronized tensor
 product glues directed coskeletons of fibered products of cube
 skeletons over all pairs of cubes of the two factors; it interprets
 parallel composition.
+
+A pair entry (the coskeleton of the fibered product of two cube
+skeletons) depends on its two label words only through their shape:
+the word lengths, which letters are equal, which are silent and which
+are partners under the involution.  Pair entries are therefore built
+once per shape, over words renamed in order of first occurrence, and
+cached for the life of the process; each product relabels them back
+to its own words.  The cell maps between pair entries read no labels
+at all and are cached by the two shapes and the two cube maps.
 """
 
 from __future__ import annotations
@@ -300,29 +309,65 @@ def _skeleton_tables(m: int):
 
 @dataclass(frozen=True)
 class _PairEntry:
-    word_k: tuple
-    word_l: tuple
     fib: _Fibered
     cosk: _Cosk
 
 
-def _pair_entry(word_k, word_l, cfg: Alphabet) -> _PairEntry:
-    skel_k = truncate(standard_cube(word_k), 1)
-    skel_l = truncate(standard_cube(word_l), 1)
-    fib = _fibered(skel_k, skel_l, cfg)
+#: The silent letter of a renamed word pair; other letters become "0", "1", ...
+_TAU = "tau"
+
+
+def _shape(word_k: tuple, word_l: tuple, cfg: Alphabet) -> tuple[tuple, dict[str, str]]:
+    """The shape key of a word pair, and the letter map back from it.
+
+    Every letter is checked against ``cfg``, then renamed in order of
+    first occurrence in ``word_k + word_l``, the silent label to
+    ``_TAU``.  The key is the two renamed words and the involution
+    restricted to the letters present: all that the fibered product
+    and the directed coskeleton read of the labels.
+    """
+    rename = {cfg.tau: _TAU}
+    for x in word_k + word_l:
+        if cfg.check_label(x) not in rename:
+            rename[x] = str(len(rename) - 1)
+    pairs = {
+        tuple(sorted((c, rename[cfg.bar(x)]))) for x, c in rename.items() if cfg.bar(x) in rename
+    }
+    key = (
+        tuple(rename[x] for x in word_k),
+        tuple(rename[x] for x in word_l),
+        tuple(sorted(pairs)),
+    )
+    return key, {c: x for x, c in rename.items()}
+
+
+@lru_cache(maxsize=1024)
+def _shape_entry(shape: tuple) -> _PairEntry:
+    """Coskeleton of the fibered product of two cube skeletons, over the
+    renamed words of ``shape``."""
+    word_k, word_l, pairs = shape
+    cfg = Alphabet(frozenset(word_k + word_l + (_TAU,)), _TAU, pairs)
+    fib = _fibered(truncate(standard_cube(word_k), 1), truncate(standard_cube(word_l), 1), cfg)
     kbits = _skeleton_tables(len(word_k))[0]
     lbits = _skeleton_tables(len(word_l))[0]
     iso = {
         vid: kbits[kv] + lbits[lv] for (kv, lv), vid in fib.vertex_id.items()
     }
-    return _PairEntry(tuple(word_k), tuple(word_l), fib, _cosk(fib.precube, iso))
+    return _PairEntry(fib, _cosk(fib.precube, iso))
 
 
-def _pair_map(src: _PairEntry, dst: _PairEntry, enc_k: CubeEncoding, enc_l: CubeEncoding) -> dict:
-    """Cell map between pair entries induced by maps of the two cubes."""
-    mk, ml = len(src.word_k), len(src.word_l)
+@lru_cache(maxsize=8192)
+def _pair_map(src_shape: tuple, dst_shape: tuple, enc_k: CubeEncoding, enc_l: CubeEncoding) -> dict:
+    """Cell map between pair entries induced by maps of the two cubes.
+
+    It reads encodings, fibered tags and coskeleton contents, never
+    labels, so it serves every word pair of the two shapes.  Callers
+    share the returned dict and must not change it.
+    """
+    src, dst = _shape_entry(src_shape), _shape_entry(dst_shape)
+    mk = enc_k.m
     kv_bits, _, k_eenc, _ = _skeleton_tables(mk)
-    lv_bits, _, l_eenc, _ = _skeleton_tables(ml)
+    lv_bits, _, l_eenc, _ = _skeleton_tables(enc_l.m)
     _, kv_id2, _, ke_id2 = _skeleton_tables(enc_k.n)
     _, lv_id2, _, le_id2 = _skeleton_tables(enc_l.n)
 
@@ -367,6 +412,15 @@ def _pair_map(src: _PairEntry, dst: _PairEntry, enc_k: CubeEncoding, enc_l: Cube
     return cell_map
 
 
+def _generators(Z: PrecubicalSet, n: int, c: int):
+    """The faces and swaps of cell ``(n, c)``: (cell, cube map into [n]) pairs."""
+    for i in range(1, n + 1):
+        for alpha in (0, 1):
+            yield (n - 1, Z.face(n, c, i, alpha)), face_encoding(i, alpha, n)
+    for i in range(1, n):
+        yield (n, Z.sym(n, c, i)), sym_encoding(i, n)
+
+
 def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> PrecubicalSet:
     """Synchronized tensor product of two labelled symmetric precubical sets.
 
@@ -382,50 +436,29 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
     pairs = [(ko, lo) for ko in kobjs for lo in lobjs]
     pair_index = {pair: i for i, pair in enumerate(pairs)}
 
-    cache: dict[tuple, _PairEntry] = {}
-
-    def entry(ko, lo) -> _PairEntry:
-        key = (K.label(*ko), L.label(*lo))
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = _pair_entry(key[0], key[1], cfg)
-        return got
-
-    objects = [entry(ko, lo).cosk.precube for ko, lo in pairs]
+    # per pair of cubes: its shape key and its pair entry relabelled to its words
+    by_words: dict[tuple, tuple[tuple, PrecubicalSet]] = {}
+    entries = []
+    for ko, lo in pairs:
+        words = (K.label(*ko), L.label(*lo))
+        if words not in by_words:
+            shape, letters = _shape(*words, cfg)
+            cosk = _shape_entry(shape).cosk.precube
+            labels = {cell: tuple(letters[x] for x in word) for cell, word in cosk.labels.items()}
+            by_words[words] = (shape, replace(cosk, labels=labels))
+        entries.append(by_words[words])
+    objects = [obj for _, obj in entries]
     arrows = []
     for pi, (ko, lo) in enumerate(pairs):
-        (mk, ck), (ml, cl) = ko, lo
-        dst = entry(ko, lo)
-        for i in range(1, mk + 1):
-            for alpha in (0, 1):
-                src_pair = ((mk - 1, K.face(mk, ck, i, alpha)), lo)
-                src = entry(*src_pair)
-                cmap = _pair_map(src, dst, face_encoding(i, alpha, mk), identity_encoding(ml))
-                arrows.append(
-                    (pair_index[src_pair], pi, PrecubeMap(src.cosk.precube, dst.cosk.precube, cmap))
-                )
-        for i in range(1, mk):
-            src_pair = ((mk, K.sym(mk, ck, i)), lo)
-            src = entry(*src_pair)
-            cmap = _pair_map(src, dst, sym_encoding(i, mk), identity_encoding(ml))
-            arrows.append(
-                (pair_index[src_pair], pi, PrecubeMap(src.cosk.precube, dst.cosk.precube, cmap))
-            )
-        for i in range(1, ml + 1):
-            for alpha in (0, 1):
-                src_pair = (ko, (ml - 1, L.face(ml, cl, i, alpha)))
-                src = entry(*src_pair)
-                cmap = _pair_map(src, dst, identity_encoding(mk), face_encoding(i, alpha, ml))
-                arrows.append(
-                    (pair_index[src_pair], pi, PrecubeMap(src.cosk.precube, dst.cosk.precube, cmap))
-                )
-        for i in range(1, ml):
-            src_pair = (ko, (ml, L.sym(ml, cl, i)))
-            src = entry(*src_pair)
-            cmap = _pair_map(src, dst, identity_encoding(mk), sym_encoding(i, ml))
-            arrows.append(
-                (pair_index[src_pair], pi, PrecubeMap(src.cosk.precube, dst.cosk.precube, cmap))
-            )
+        dst_shape, dst = entries[pi]
+        id_k, id_l = identity_encoding(ko[0]), identity_encoding(lo[0])
+        sides = [((c, lo), enc, id_l) for c, enc in _generators(K, *ko)]
+        sides += [((ko, c), id_k, enc) for c, enc in _generators(L, *lo)]
+        for src_pair, enc_k, enc_l in sides:
+            si = pair_index[src_pair]
+            src_shape, src = entries[si]
+            cmap = _pair_map(src_shape, dst_shape, enc_k, enc_l)
+            arrows.append((si, pi, PrecubeMap(src, dst, cmap)))
 
     out, cocones = colimit_presheaf(objects, arrows)
 

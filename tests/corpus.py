@@ -190,3 +190,151 @@ CCS_CORPUS = [
     "rec(x) a.x",
     "rec(x) a.nil + b.nil",
 ]
+
+
+# ---------------------------------------------------------------------------
+# word-keyed tensor product (oracle for the shape-keyed caches of hdts.sync)
+
+
+def _word_pair_entry(word_k, word_l, cfg):
+    """Fibered product and coskeleton of two cube skeletons, built over
+    the label words themselves."""
+    from hdts import standard_cube, truncate
+    from hdts.sync import _cosk, _fibered, _skeleton_tables
+
+    fib = _fibered(truncate(standard_cube(word_k), 1), truncate(standard_cube(word_l), 1), cfg)
+    kbits = _skeleton_tables(len(word_k))[0]
+    lbits = _skeleton_tables(len(word_l))[0]
+    iso = {vid: kbits[kv] + lbits[lv] for (kv, lv), vid in fib.vertex_id.items()}
+    return fib, _cosk(fib.precube, iso)
+
+
+def _word_pair_map(src, dst, enc_k, enc_l):
+    """Cell map between word-keyed entries, recomputed on every call."""
+    from hdts.encoding import compose
+    from hdts.sync import _content_key, _skeleton_tables
+
+    (src_fib, src_cosk), (dst_fib, dst_cosk) = src, dst
+    mk = enc_k.m
+    kv_bits, _, k_eenc, _ = _skeleton_tables(mk)
+    lv_bits, _, l_eenc, _ = _skeleton_tables(enc_l.m)
+    _, kv_id2, _, ke_id2 = _skeleton_tables(enc_k.n)
+    _, lv_id2, _, le_id2 = _skeleton_tables(enc_l.n)
+
+    def kvert(v):
+        return kv_id2[enc_k.apply(kv_bits[v])]
+
+    def lvert(v):
+        return lv_id2[enc_l.apply(lv_bits[v])]
+
+    def edge(tag):
+        kind, x, y = tag
+        if kind == "k":
+            return dst_fib.edge_id[("k", ke_id2[compose(k_eenc[x], enc_k)], lvert(y))]
+        if kind == "l":
+            return dst_fib.edge_id[("l", kvert(x), le_id2[compose(l_eenc[y], enc_l)])]
+        return dst_fib.edge_id[
+            ("s", ke_id2[compose(k_eenc[x], enc_k)], le_id2[compose(l_eenc[y], enc_l)])
+        ]
+
+    cell_map = {}
+    pc = src_cosk.precube
+    for v in pc.vertices:
+        kv, lv = src_fib.vertex_pair[v]
+        cell_map[(0, v)] = dst_fib.vertex_id[(kvert(kv), lvert(lv))]
+    for e in pc.ncells(1):
+        cell_map[(1, e)] = edge(src_fib.edge_tag[e])
+    for n in pc.dims():
+        for c in pc.ncells(n) if n >= 2 else ():
+            vkey, edict = src_cosk.contents[(n, c)]
+            vkey2 = tuple(enc_k.apply(b[:mk]) + enc_l.apply(b[mk:]) for b in vkey)
+            edict2 = {g: edge(src_fib.edge_tag[e]) for g, e in edict.items()}
+            cell_map[(n, c)] = dst_cosk.index[(n, _content_key(vkey2, edict2))]
+    return cell_map
+
+
+def word_keyed_tensor_sync(K, L, cfg):
+    """``tensor_sync`` with one pair entry per label-word pair and one
+    pair map computed per arrow, as the shape-keyed version must match."""
+    from dataclasses import replace
+
+    from hdts import PrecubeMap, colimit_presheaf
+    from hdts.precube import EMPTY_PRECUBE
+    from hdts.encoding import face_encoding, identity_encoding, sym_encoding
+
+    if not K.vertices or not L.vertices:
+        return EMPTY_PRECUBE
+    pairs = [
+        ((m, c), (n, d))
+        for m in K.dims() for c in K.ncells(m)
+        for n in L.dims() for d in L.ncells(n)
+    ]
+    pair_index = {pair: i for i, pair in enumerate(pairs)}
+    entries = {}
+    for ko, lo in pairs:
+        words = (K.label(*ko), L.label(*lo))
+        if words not in entries:
+            entries[words] = _word_pair_entry(*words, cfg)
+
+    def entry(pair):
+        ko, lo = pair
+        return entries[(K.label(*ko), L.label(*lo))]
+
+    arrows = []
+    for pi, ((mk, ck), (ml, cl)) in enumerate(pairs):
+        dst = entry(pairs[pi])
+        ko, lo = pairs[pi]
+        sources = []
+        for i in range(1, mk + 1):
+            for alpha in (0, 1):
+                sources.append((((mk - 1, K.face(mk, ck, i, alpha)), lo),
+                                face_encoding(i, alpha, mk), identity_encoding(ml)))
+        for i in range(1, mk):
+            sources.append((((mk, K.sym(mk, ck, i)), lo),
+                            sym_encoding(i, mk), identity_encoding(ml)))
+        for i in range(1, ml + 1):
+            for alpha in (0, 1):
+                sources.append(((ko, (ml - 1, L.face(ml, cl, i, alpha))),
+                                identity_encoding(mk), face_encoding(i, alpha, ml)))
+        for i in range(1, ml):
+            sources.append(((ko, (ml, L.sym(ml, cl, i))),
+                            identity_encoding(mk), sym_encoding(i, ml)))
+        for src_pair, enc_k, enc_l in sources:
+            src = entry(src_pair)
+            cmap = _word_pair_map(src, dst, enc_k, enc_l)
+            arrows.append((pair_index[src_pair], pi,
+                           PrecubeMap(src[1].precube, dst[1].precube, cmap)))
+    objects = [entry(pair)[1].precube for pair in pairs]
+    out, cocones = colimit_presheaf(objects, arrows)
+
+    def pair_vertex(u, v):
+        return cocones[pair_index[((0, u), (0, v))]].cell_map[(0, 0)]
+
+    decoration = {
+        pair_vertex(u, v): f"{K.decoration[u]} || {L.decoration[v]}"
+        for u in K.vertices if u in K.decoration
+        for v in L.vertices if v in L.decoration
+    }
+    initial = None
+    if K.initial is not None and L.initial is not None:
+        initial = pair_vertex(K.initial, L.initial)
+    return replace(out, decoration=decoration, initial=initial,
+                   truncated=K.truncated or L.truncated or out.truncated)
+
+
+def random_sync_term(seed: int) -> str:
+    """A small closed term with 2 or 3 parallel components over a, b,
+    their partners and tau: repeated letters, silent prefixes, both
+    partners in one component, sums and restrictions all occur."""
+    rng = random.Random(seed)
+    letters = ("a", "abar", "b", "bbar", "tau")
+
+    def chain():
+        return ".".join(rng.choice(letters) for _ in range(rng.randint(1, 2))) + ".nil"
+
+    def component():
+        body = chain() if rng.random() < 0.8 else f"({chain()} + {chain()})"
+        return f"(nu {rng.choice('ab')})({body})" if rng.random() < 0.2 else body
+
+    term = " || ".join(component() for _ in range(rng.choice((2, 2, 3))))
+    return f"(nu {rng.choice('ab')})({term})" if rng.random() < 0.3 else term

@@ -66,6 +66,15 @@ def test_check_rejects_bad_schema(tmp_path, capsys):
     assert "acts" in err
 
 
+def test_check_rejects_non_object_decoration(tmp_path, capsys):
+    path = tmp_path / "deco.json"
+    path.write_text('{"dims": {"0": [{"id": 0}]}, "decoration": [1]}')
+    code = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: decoration: must be an object\n"
+
+
 def test_check_rejects_wrong_kind(fixture_file, capsys):
     code = main(["check", fixture_file("cube_ab"), "--kind", "precube"])
     assert code == 2
@@ -176,6 +185,18 @@ def test_ccs_compile_truncation_warns(alphabet_file, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "truncated" in captured.err
+
+
+@pytest.mark.parametrize("depth", ["-1", "two"])
+def test_ccs_compile_rejects_bad_unfold_depth(alphabet_file, capsys, depth):
+    with pytest.raises(SystemExit) as exc:
+        main(["ccs", "compile", "a.nil", "--alphabet", alphabet_file, "--unfold", depth])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1].endswith(
+        f"error: argument --unfold: must be a non-negative integer, not {depth!r}"
+    )
+    assert "Traceback" not in err
 
 
 def test_fixtures_list_and_emit(capsys, tmp_path):

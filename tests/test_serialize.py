@@ -86,6 +86,13 @@ def test_precube_reader_rejects_broken_relations():
         precube_from_json(doc)
 
 
+def test_precube_reader_rejects_non_object_decoration():
+    doc = precube_to_json(standard_cube(("a",)))
+    doc["decoration"] = [1]
+    with pytest.raises(SchemaError, match="decoration"):
+        precube_from_json(doc)
+
+
 def test_detect_kind():
     assert detect_kind(hdts_to_json(cube(()))) == "hdts"
     assert detect_kind(precube_to_json(standard_cube(()))) == "precube"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from corpus import ALPHA
+from corpus import ALPHA, CCS_CORPUS, random_sync_term, word_keyed_tensor_sync
 from hdts import (
     PrecubeError,
     PrecubicalSet,
@@ -20,7 +20,10 @@ from hdts import (
     truncate,
     validate,
 )
+from hdts import ccs, sync
+from hdts.alphabet import ConfigError, make_alphabet
 from hdts.encoding import all_encodings, cube_vertices
+from hdts.serialize import dumps, precube_to_json
 from hdts.sync import _fibered
 
 
@@ -214,3 +217,63 @@ def test_tensor_factors_realize_honestly():
             out = cosk_directed(fib.precube, iso)
             report = validate(realize(out).system)
             assert report.csa1 and report.uisa
+
+
+# ---------------------------------------------------------------------------
+# shape-keyed pair entries and pair maps against the word-keyed oracle
+
+
+def compile_json(term, cfg=ALPHA):
+    return dumps(precube_to_json(ccs.semantics(ccs.parse(term, cfg), cfg)))
+
+
+SYNC_TERMS = [t for t in CCS_CORPUS if "||" in t] + [
+    "a.a.nil || a.nil",
+    "tau.a.nil || abar.nil",
+    "a.abar.nil || a.nil",
+    "(nu a)(a.abar.nil || abar.a.nil)",
+    "(nu b)(b.bbar.nil || (nu a)(a.nil || bbar.nil))",
+]
+
+
+@pytest.mark.parametrize("term", SYNC_TERMS + [random_sync_term(s) for s in range(30)])
+def test_tensor_matches_word_keyed_oracle(term, monkeypatch):
+    got = compile_json(term)
+    monkeypatch.setattr(ccs, "tensor_sync", word_keyed_tensor_sync)
+    assert got == compile_json(term)
+
+
+@pytest.mark.parametrize(
+    "wk,wl",
+    [
+        (("a", "a"), ("abar",)),
+        (("a", "abar"), ("a",)),
+        (("tau", "a"), ("abar",)),
+        (("b",), ("abar", "bbar")),
+    ],
+)
+def test_tensor_of_cubes_matches_word_keyed_oracle(wk, wl):
+    K, L = standard_cube(wk), standard_cube(wl)
+    want = precube_to_json(word_keyed_tensor_sync(K, L, ALPHA))
+    assert precube_to_json(tensor_sync(K, L, ALPHA)) == want
+
+
+def test_cached_shape_carries_no_labels():
+    cfg = make_alphabet(["a", "abar", "c", "u", "ubar", "w"], pairs=[("a", "abar"), ("u", "ubar")])
+    first, second = "a.c.nil || abar.nil", "u.w.nil || ubar.nil"
+    sync._shape_entry.cache_clear()
+    sync._pair_map.cache_clear()
+    fresh = compile_json(second, cfg)
+    sync._shape_entry.cache_clear()
+    sync._pair_map.cache_clear()
+    compile_json(first, cfg)
+    built = sync._shape_entry.cache_info().misses
+    assert compile_json(second, cfg) == fresh
+    # the second term reused every shape the first one built
+    assert sync._shape_entry.cache_info().misses == built
+
+
+def test_tensor_checks_labels_of_a_cached_shape():
+    tensor_sync(standard_cube(("a",)), standard_cube(("b",)), ALPHA)
+    with pytest.raises(ConfigError, match="zz"):
+        tensor_sync(standard_cube(("zz",)), standard_cube(("b",)), ALPHA)
