@@ -14,6 +14,10 @@ cells whose label word avoids the restricted pair, parallel composition
 is the synchronized tensor product, and recursion unfolds until two
 consecutive stages are isomorphic (initial and decorations included) or
 a depth bound is hit, in which case the result is flagged truncated.
+Each stage is built from the previous one: ``semantics`` reuses the
+set it holds for a subterm that *is* the previous stage's term, by
+identity, not by hashing or equality, which recurse once per nesting
+level of a deep stage.
 """
 
 from __future__ import annotations
@@ -112,22 +116,24 @@ def term_str(t: ProcessTerm, level: int = _PAR) -> str:
 
 
 def subst(t: ProcessTerm, var: str, repl: ProcessTerm) -> ProcessTerm:
+    """``t`` with ``repl`` for each free ``var``: every copy is ``repl``
+    itself and a subterm without a free ``var`` is returned as is, so a
+    recursion stage stays recognisable by identity inside the next one."""
     if isinstance(t, Var):
         return repl if t.name == var else t
     if isinstance(t, Nil):
         return t
-    if isinstance(t, Prefix):
-        return Prefix(t.label, subst(t.body, var, repl))
-    if isinstance(t, Restrict):
-        return Restrict(t.label, subst(t.body, var, repl))
-    if isinstance(t, Sum):
-        return Sum(subst(t.left, var, repl), subst(t.right, var, repl))
-    if isinstance(t, Par):
-        return Par(subst(t.left, var, repl), subst(t.right, var, repl))
+    if isinstance(t, (Prefix, Restrict)):
+        body = subst(t.body, var, repl)
+        return t if body is t.body else type(t)(t.label, body)
+    if isinstance(t, (Sum, Par)):
+        left, right = subst(t.left, var, repl), subst(t.right, var, repl)
+        return t if left is t.left and right is t.right else type(t)(left, right)
     if isinstance(t, Rec):
         if t.var == var:
             return t
-        return Rec(t.var, subst(t.body, var, repl))
+        body = subst(t.body, var, repl)
+        return t if body is t.body else Rec(t.var, body)
     raise TypeError(f"not a process term: {t!r}")
 
 
@@ -378,24 +384,34 @@ def _filter_labels(sub: PrecubicalSet, banned: set[str]) -> PrecubicalSet:
     )
 
 
-def semantics(term: ProcessTerm, cfg: Alphabet, unfold_depth: int = 8) -> PrecubicalSet:
+def semantics(
+    term: ProcessTerm, cfg: Alphabet, unfold_depth: int = 8, *, stages: tuple = ()
+) -> PrecubicalSet:
     """The decorated precubical set of a closed process term.
 
     Recursion is approximated by bounded unfolding; if the stages never
     stabilize within ``unfold_depth`` steps the last stage is returned
-    with its ``truncated`` flag set.
+    with its ``truncated`` flag set.  Each stage is built from the
+    previous one: ``stages`` holds the (term, set) pair of the current
+    stage of every enclosing recursion, and a subterm that *is* one of
+    those terms (identity, not hashing) is not compiled again.  Only
+    this module passes ``stages``; the result does not depend on it,
+    since the semantics of a closed term is a function of the term.
     """
     if unfold_depth < 0:
         raise ValueError("unfold depth must be non-negative")
+    for known, K in stages:
+        if term is known:
+            return K
     if isinstance(term, Nil):
         return _point("nil")
     if isinstance(term, Prefix):
         cfg.check_label(term.label)
-        sub = semantics(term.body, cfg, unfold_depth)
+        sub = semantics(term.body, cfg, unfold_depth, stages=stages)
         return _graft_prefix(term.label, sub, term_str(term))
     if isinstance(term, Sum):
-        left = semantics(term.left, cfg, unfold_depth)
-        right = semantics(term.right, cfg, unfold_depth)
+        left = semantics(term.left, cfg, unfold_depth, stages=stages)
+        right = semantics(term.right, cfg, unfold_depth, stages=stages)
         return _wedge(left, right, term_str(term))
     if isinstance(term, Restrict):
         cfg.check_label(term.label)
@@ -403,21 +419,23 @@ def semantics(term: ProcessTerm, cfg: Alphabet, unfold_depth: int = 8) -> Precub
         partner = cfg.bar(term.label)
         if partner is not None:
             banned.add(partner)
-        sub = semantics(term.body, cfg, unfold_depth)
+        sub = semantics(term.body, cfg, unfold_depth, stages=stages)
         out = _filter_labels(sub, banned)
         decorations = dict(out.decoration)
         decorations[out.initial] = term_str(term)
         return replace(out, decoration=decorations)
     if isinstance(term, Par):
-        left = semantics(term.left, cfg, unfold_depth)
-        right = semantics(term.right, cfg, unfold_depth)
+        left = semantics(term.left, cfg, unfold_depth, stages=stages)
+        right = semantics(term.right, cfg, unfold_depth, stages=stages)
         return tensor_sync(left, right, cfg)
     if isinstance(term, Rec):
         stage_term: ProcessTerm = Nil()
-        stage = semantics(stage_term, cfg, unfold_depth)
+        stage = semantics(stage_term, cfg, unfold_depth, stages=stages)
         for _ in range(unfold_depth):
             next_term = subst(term.body, term.var, stage_term)
-            nxt = semantics(next_term, cfg, unfold_depth)
+            nxt = semantics(
+                next_term, cfg, unfold_depth, stages=stages + ((stage_term, stage),)
+            )
             if iso_check_precube(stage, nxt, match_initial=True, match_decoration=True):
                 out = nxt
                 break

@@ -2,8 +2,8 @@
 
 Commands: check, realize, cubify, export, ccs compile, fixtures.
 Exit codes: 0 success / all axioms pass, 1 axiom failure, 2 input
-error.  All output is deterministic: identical inputs give
-byte-identical bytes.
+error, a term that nests too deeply to compile included.  All output
+is deterministic: identical inputs give byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -157,8 +157,10 @@ def cmd_ccs_compile(args) -> int:
     cfg = _load_alphabet(args.alphabet)
     if cfg is None:
         raise _InputError("ccs compile requires --alphabet")
-    term = ccs.parse(args.term, cfg)
-    K = ccs.semantics(term, cfg, args.unfold)
+    try:
+        K = ccs.semantics(ccs.parse(args.term, cfg), cfg, args.unfold)
+    except RecursionError:
+        raise _InputError("the term nests too deeply to compile")
     if K.truncated:
         print("warning: recursion truncated at the unfold bound", file=sys.stderr)
     if args.out == "json":
@@ -253,7 +255,7 @@ def main(argv=None) -> int:
         StructureError,
         PrecubeError,
         ccs.CcsSyntaxError,
-        KeyError,
+        fixtures.FixtureError,
     ) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

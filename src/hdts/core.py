@@ -13,12 +13,12 @@ order so results are reproducible run to run.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from .encoding import cube_vertices
 from .unionfind import UnionFind
 
 
@@ -120,11 +120,6 @@ def multiset_diff(whole: Sequence[int], part: Sequence[int]) -> tuple[int, ...]:
 
 def multiset_union(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(tuple(a) + tuple(b)))
-
-
-def is_submultiset(part: Sequence[int], whole: Sequence[int]) -> bool:
-    cp, cw = Counter(part), Counter(whole)
-    return all(cw[k] >= v for k, v in cp.items())
 
 
 @lru_cache(maxsize=None)
@@ -466,10 +461,6 @@ def uisa_holds(transitions: Iterable[Transition]) -> bool:
 
 # ---------------------------------------------------------------------------
 # cube systems
-
-
-def cube_vertices(n: int) -> list[tuple[int, ...]]:
-    return list(itertools.product((0, 1), repeat=n))
 
 
 def cube_state_id(eps: Sequence[int]) -> int:

@@ -87,6 +87,10 @@ def glued_span() -> WeakHDTS:
     return colimit([edge, shared, edge], [(1, 0, attach), (1, 2, attach)]).system
 
 
+class FixtureError(ValueError):
+    """No bundled fixture has the requested name."""
+
+
 def _builders():
     return {
         "cube_ab": ("hdts", lambda: cube(("a", "b"))),
@@ -110,5 +114,5 @@ def build_fixture(name: str):
     try:
         kind, builder = _builders()[name]
     except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
+        raise FixtureError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
     return kind, builder()

@@ -31,11 +31,10 @@ from .core import (
     cube,
     cube_state_bits,
     cube_state_id,
-    cube_vertices,
     transition,
     validate,
 )
-from .encoding import NEG, POS, CubeEncoding, face_encoding, sym_encoding
+from .encoding import NEG, POS, CubeEncoding, cube_vertices, face_encoding, sym_encoding
 from .precube import PrecubeMap, PrecubicalSet, hda_check, make_precube
 from .unionfind import UnionFind
 

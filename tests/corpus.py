@@ -338,3 +338,86 @@ def random_sync_term(seed: int) -> str:
 
     term = " || ".join(component() for _ in range(rng.choice((2, 2, 3))))
     return f"(nu {rng.choice('ab')})({term})" if rng.random() < 0.3 else term
+
+
+# ---------------------------------------------------------------------------
+# from-scratch recursion (oracle for the stage reuse of hdts.ccs.semantics)
+
+
+def scratch_semantics(term, cfg, unfold_depth=8):
+    """``semantics`` with every recursion stage compiled from scratch:
+    each copy of the previous stage inside ``subst(body, x, stage)`` is
+    compiled again down to ``nil``, as the stage-reusing version must
+    match."""
+    from dataclasses import replace
+
+    from hdts import PrecubeError, iso_check_precube, tensor_sync
+    from hdts.ccs import (
+        Nil, Par, Prefix, Rec, Restrict, Sum, _filter_labels, _graft_prefix, _point,
+        _wedge, subst, term_str,
+    )
+
+    def decorate_initial(out):
+        return replace(out, decoration={**out.decoration, out.initial: term_str(term)})
+
+    def sub(t):
+        return scratch_semantics(t, cfg, unfold_depth)
+
+    if isinstance(term, Nil):
+        return _point("nil")
+    if isinstance(term, Prefix):
+        cfg.check_label(term.label)
+        return _graft_prefix(term.label, sub(term.body), term_str(term))
+    if isinstance(term, Sum):
+        return _wedge(sub(term.left), sub(term.right), term_str(term))
+    if isinstance(term, Restrict):
+        cfg.check_label(term.label)
+        banned = {term.label, cfg.bar(term.label)} - {None}
+        return decorate_initial(_filter_labels(sub(term.body), banned))
+    if isinstance(term, Par):
+        return tensor_sync(sub(term.left), sub(term.right), cfg)
+    if isinstance(term, Rec):
+        stage_term = Nil()
+        stage = sub(stage_term)
+        for _ in range(unfold_depth):
+            next_term = subst(term.body, term.var, stage_term)
+            nxt = sub(next_term)
+            if iso_check_precube(stage, nxt, match_initial=True, match_decoration=True):
+                return decorate_initial(nxt)
+            stage_term, stage = next_term, nxt
+        return decorate_initial(replace(stage, truncated=True))
+    raise PrecubeError("cannot interpret an open term")
+
+
+def random_rec_term(seed: int) -> str:
+    """A small closed term with recursion: prefixes over a, abar, b, c
+    and tau, sums, restrictions, the odd parallel composition of closed
+    terms, nested and shadowing ``rec(x)``/``rec(y)``; a variable occurs
+    only under a prefix inside its own binder."""
+    rng = random.Random(seed)
+    letters = ("a", "abar", "b", "c", "tau")
+
+    def term(size, bound, guarded):
+        kinds = ["var"] * (2 * bool(guarded))
+        if size > 0:
+            kinds += ["prefix"] * 4 + ["sum", "sum", "rec", "nu"] + ["par"] * (size <= 4)
+        else:
+            kinds.append("nil")
+        kind = rng.choice(kinds)
+        if kind == "nil":
+            return "nil"
+        if kind == "var":
+            return rng.choice(sorted(guarded))
+        if kind == "prefix":
+            return f"{rng.choice(letters)}.{term(size - 1, bound, bound)}"
+        if kind == "rec":
+            var = rng.choice("xy")
+            return f"rec({var}) {term(size - 1, bound | {var}, guarded - {var})}"
+        if kind == "nu":
+            return f"(nu {rng.choice('ab')}) {term(size - 1, bound, guarded)}"
+        half = (size - 1) // 2
+        if kind == "par":  # closed components keep the unfolded products small
+            return f"({term(half, frozenset(), frozenset())} || {term(half, frozenset(), frozenset())})"
+        return f"({term(half, bound, guarded)} + {term(size - 1 - half, bound, guarded)})"
+
+    return f"rec(x) {term(rng.randint(3, 6), frozenset('x'), frozenset())}"

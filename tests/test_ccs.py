@@ -2,7 +2,7 @@
 
 import pytest
 
-from corpus import ALPHA, CCS_CORPUS
+from corpus import ALPHA, CCS_CORPUS, random_rec_term, scratch_semantics
 from hdts import (
     check_relations,
     compile_text,
@@ -16,7 +16,10 @@ from hdts import (
     term_str,
     validate,
 )
+from hdts import ccs
+from hdts.alphabet import make_alphabet
 from hdts.ccs import CcsSyntaxError, Nil, Par, Prefix, Rec, Restrict, Sum, Var, subst
+from hdts.serialize import dumps, precube_to_json
 
 
 def cell_counts(K):
@@ -85,6 +88,15 @@ def test_pretty_printer_round_trips(text):
 def test_subst_respects_shadowing():
     t = parse("rec(x) a.x", ALPHA)
     assert subst(t, "x", Nil()) == t
+
+
+def test_subst_shares_the_replacement_and_untouched_subterms():
+    t = Sum(Prefix("a", Var("x")), Par(Prefix("b", Nil()), parse("rec(x) c.x", ALPHA)))
+    repl = Prefix("c", Nil())
+    out = subst(t, "x", repl)
+    assert out.left.body is repl
+    assert out.right is t.right  # no free x there: the same object comes back
+    assert subst(out, "x", Nil()) is out
 
 
 # ---------------------------------------------------------------------------
@@ -187,3 +199,52 @@ def test_par_associates_up_to_realization_iso():
     a = realize(compile_text("(a.nil || abar.nil) || b.nil", ALPHA)).system
     b = realize(compile_text("a.nil || (abar.nil || b.nil)", ALPHA)).system
     assert iso_check(a, b) is not None
+
+
+# ---------------------------------------------------------------------------
+# recursion stages: built from the previous stage, checked against a
+# compile of every stage from scratch
+
+
+def _json(K):
+    return dumps(precube_to_json(K))
+
+
+#: ALPHA plus the label ``e`` restricted by the nested recursion below.
+ALPHA_E = make_alphabet(sorted(ALPHA.labels | {"e"}), pairs=ALPHA.pairs)
+
+STAGE_CASES = [("rec(x) (a.x + b.x)", depth) for depth in range(8)] + [
+    ("rec(x) ((a.x + b.x) + c.x)", 4),
+    ("rec(x) a.b.c.x", 5),
+    ("rec(x) (a.nil + b.nil)", 5),
+    ("rec(x) a.x || abar.nil", 3),
+    ("rec(x) a.(x || b.nil)", 3),
+    ("rec(x) a.(nu b) (b.x + c.x)", 4),
+    ("rec(x) (a.x + (nu e) e.rec(y) (b.y + c.x))", 3),
+    ("rec(x) a.rec(x) b.x", 4),
+]
+
+
+@pytest.mark.parametrize("text,depth", STAGE_CASES)
+def test_stage_reuse_matches_scratch_compile(text, depth):
+    term = parse(text, ALPHA_E)
+    K = semantics(term, ALPHA_E, depth)
+    assert _json(K) == _json(scratch_semantics(term, ALPHA_E, depth))
+    check_relations(K)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_stage_reuse_matches_scratch_compile_on_random_terms(seed):
+    term = parse(random_rec_term(seed), ALPHA)
+    assert _json(semantics(term, ALPHA, 4)) == _json(scratch_semantics(term, ALPHA, 4))
+
+
+def test_each_stage_is_compiled_once(monkeypatch):
+    # the stage-i term of rec(x) (a.x + b.x) holds 2^i - 1 sums; only the
+    # outermost one of each stage is compiled
+    wedges = []
+    original = ccs._wedge
+    monkeypatch.setattr(ccs, "_wedge", lambda *args: wedges.append(1) or original(*args))
+    K = compile_text("rec(x) (a.x + b.x)", ALPHA, unfold_depth=7)
+    assert K.truncated
+    assert len(wedges) == 7

@@ -1,9 +1,14 @@
 """End-to-end runs of the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hdts
 from corpus import ALPHA
 from hdts import cube, iso_check
 from hdts.cli import main
@@ -211,6 +216,54 @@ def test_fixtures_list_and_emit(capsys, tmp_path):
         {"src": 0, "acts": [2], "tgt": 1},
     ]
     assert main(["fixtures", "emit", "nope"]) == 2
+
+
+def test_fixtures_emit_unknown_name_is_an_input_error(capsys):
+    assert main(["fixtures", "emit", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown fixture 'nosuch'; known: ")
+    assert len(err.splitlines()) == 1
+
+
+def _compile_in_fresh_process(term, alphabet, *extra):
+    """Exit code, stdout and stderr of ``hdts ccs compile`` in its own
+    interpreter, so that the recursion depth left to the command is the
+    one a user gets, not what the test runner's stack leaves over."""
+    src = str(Path(hdts.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "hdts.cli", "ccs", "compile", term, "--alphabet", alphabet]
+    done = subprocess.run(argv + list(extra), env=env, capture_output=True, text=True,
+                          timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_ccs_compile_long_unfolding_stays_within_the_stack(alphabet_file):
+    code, out, err = _compile_in_fresh_process("rec(x) a.x", alphabet_file, "--unfold", "600")
+    assert code == 0
+    assert err == "warning: recursion truncated at the unfold bound\n"
+    assert len(json.loads(out)["dims"]["0"]) == 601
+
+
+def test_ccs_compile_long_prefix_chain(alphabet_file):
+    code, out, err = _compile_in_fresh_process(".".join(["a"] * 900) + ".nil", alphabet_file)
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["dims"]["1"]) == 900
+
+
+@pytest.mark.parametrize(
+    "term,extra",
+    [
+        (".".join(["a"] * 3000) + ".nil", ()),
+        ("(" * 250 + "a.nil" + ")" * 250, ()),
+        ("rec(x) a.x", ("--unfold", "1500")),
+    ],
+    ids=["3000-prefixes", "250-parentheses", "unfold-1500"],
+)
+def test_ccs_compile_too_deep_is_an_input_error(alphabet_file, term, extra):
+    code, out, err = _compile_in_fresh_process(term, alphabet_file, *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the term nests too deeply to compile\n"
 
 
 def test_outputs_are_deterministic(fixture_file, capsys):
