@@ -16,9 +16,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .encoding import cube_vertices
+from .search import backtrack
 from .unionfind import UnionFind
 
 
@@ -64,6 +66,11 @@ def transition(src: int, acts: Iterable[int], tgt: int) -> Transition:
     return Transition(src, tuple(sorted(acts)), tgt)
 
 
+def _ordered(transitions: Iterable[Transition]) -> list[Transition]:
+    """Transitions in (arity, src, acts, tgt) order, the order of every scan."""
+    return sorted(transitions, key=lambda t: (t.arity, t.src, t.acts, t.tgt))
+
+
 @dataclass(frozen=True)
 class WeakHDTS:
     states: frozenset[int]
@@ -100,10 +107,7 @@ class WeakHDTS:
         return {a.id: a.label for a in self.actions}
 
     def sorted_transitions(self) -> list[Transition]:
-        return sorted(self.transitions, key=lambda t: (t.arity, t.src, t.acts, t.tgt))
-
-
-EMPTY = WeakHDTS(frozenset(), (), frozenset())
+        return _ordered(self.transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -111,55 +115,78 @@ EMPTY = WeakHDTS(frozenset(), (), frozenset())
 
 
 def multiset_diff(whole: Sequence[int], part: Sequence[int]) -> tuple[int, ...]:
-    counts = Counter(whole)
-    counts.subtract(Counter(part))
-    if any(c < 0 for c in counts.values()):
-        raise ValueError(f"{part} is not a sub-multiset of {whole}")
-    return tuple(sorted(counts.elements()))
-
-
-def multiset_union(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(tuple(a) + tuple(b)))
+    rest = sorted(whole)
+    try:
+        for x in part:
+            rest.remove(x)
+    except ValueError:
+        raise ValueError(f"{part} is not a sub-multiset of {whole}") from None
+    return tuple(rest)
 
 
 @lru_cache(maxsize=None)
 def proper_submultisets(acts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Distinct non-empty proper sub-multisets, smallest first."""
     items = sorted(Counter(acts).items())
-    out = []
-
-    def rec(k, chosen):
-        if k == len(items):
-            if chosen and len(chosen) < len(acts):
-                out.append(tuple(chosen))
-            return
-        val, cnt = items[k]
-        for take in range(cnt + 1):
-            rec(k + 1, chosen + [val] * take)
-
-    rec(0, [])
-    return tuple(sorted(out, key=lambda t: (len(t), t)))
+    subs = (
+        tuple(val for (val, _), take in zip(items, takes) for _ in range(take))
+        for takes in product(*(range(cnt + 1) for _, cnt in items))
+    )
+    return tuple(sorted((s for s in subs if 0 < len(s) < len(acts)), key=lambda t: (len(t), t)))
 
 
 class _Index:
-    """Lookup tables over a transition set."""
+    """Lookup tables over a transition set; the intermediate states of
+    each split are computed once for as long as the set does not change."""
 
     def __init__(self, transitions: Iterable[Transition]):
-        self.trans = set(transitions)
+        self.trans: set[Transition] = set()
         self.targets: dict[tuple[int, tuple[int, ...]], set[int]] = defaultdict(set)
-        for t in self.trans:
-            self.targets[(t.src, t.acts)].add(t.tgt)
+        self._inter: dict[tuple[Transition, tuple[int, ...]], list[int]] = {}
+        for t in transitions:
+            self.add(t)
+
+    def add(self, t: Transition) -> None:
+        self.trans.add(t)
+        self.targets[(t.src, t.acts)].add(t.tgt)
+        self._inter.clear()
 
     def has(self, src, acts, tgt) -> bool:
         return tgt in self.targets.get((src, acts), ())
 
-    def intermediates(self, src, first, second, tgt) -> list[int]:
-        """States nu with (src, first, nu) and (nu, second, tgt) present."""
-        return sorted(
-            nu
-            for nu in self.targets.get((src, first), ())
-            if tgt in self.targets.get((nu, second), ())
-        )
+    def intermediates(self, t: Transition, part: tuple[int, ...]) -> list[int]:
+        """States nu splitting ``t`` after ``part``: (t.src, part, nu) and
+        (nu, t.acts - part, t.tgt) are both present.  The list is shared
+        with later calls, so callers must not change it."""
+        got = self._inter.get((t, part))
+        if got is None:
+            rest = multiset_diff(t.acts, part)
+            got = self._inter[(t, part)] = sorted(
+                nu
+                for nu in self.targets.get((t.src, part), ())
+                if t.tgt in self.targets.get((nu, rest), ())
+            )
+        return got
+
+
+def _rule_instances(idx: _Index, t: Transition):
+    """Instances of the coherence rule on ``t`` as (A, B, A+B, n1, n2).
+
+    n1 splits ``t`` after A and n2 after A+B, so the rule asks for the
+    transition (n1, B, n2).  Parts come smallest first.
+    """
+    for e_part in proper_submultisets(t.acts):
+        n2s = idx.intermediates(t, e_part)
+        if not n2s:
+            continue
+        for a_part in proper_submultisets(e_part):
+            n1s = idx.intermediates(t, a_part)
+            if not n1s:
+                continue
+            b_part = multiset_diff(e_part, a_part)
+            for n1 in n1s:
+                for n2 in n2s:
+                    yield a_part, b_part, e_part, n1, n2
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +206,17 @@ def coherence_closure(transitions: Iterable[Transition]) -> frozenset[Transition
     its source or target, so rule instances are never enumerated against
     unrelated parts of the system.
     """
-    trans: set[Transition] = set(transitions)
-    targets: dict[tuple[int, tuple[int, ...]], set[int]] = defaultdict(set)
+    idx = _Index(transitions)
     bigs_by_src: dict[int, set[Transition]] = defaultdict(set)
     bigs_by_tgt: dict[int, set[Transition]] = defaultdict(set)
 
-    def index(t: Transition):
-        targets[(t.src, t.acts)].add(t.tgt)
-        if t.arity >= 3:
-            bigs_by_src[t.src].add(t)
-            bigs_by_tgt[t.tgt].add(t)
+    def index_big(t: Transition):
+        bigs_by_src[t.src].add(t)
+        bigs_by_tgt[t.tgt].add(t)
 
-    for t in trans:
-        index(t)
-
-    pending = deque(sorted(t for t in trans if t.arity >= 3))
+    pending = deque(sorted(t for t in idx.trans if t.arity >= 3))
+    for t in pending:
+        index_big(t)
     queued = set(pending)
 
     def schedule(t: Transition):
@@ -204,46 +227,19 @@ def coherence_closure(transitions: Iterable[Transition]) -> frozenset[Transition
     while pending:
         big = pending.popleft()
         queued.discard(big)
-        u = big.acts
-        inter_cache: dict[tuple[int, ...], list[int]] = {}
-
-        def inter(part):
-            got = inter_cache.get(part)
-            if got is None:
-                rest = multiset_diff(u, part)
-                got = sorted(
-                    nu
-                    for nu in targets.get((big.src, part), ())
-                    if big.tgt in targets.get((nu, rest), ())
-                )
-                inter_cache[part] = got
-            return got
-
-        for e_part in proper_submultisets(u):
-            n2s = inter(e_part)
-            if not n2s:
+        for _, b_part, _, n1, n2 in _rule_instances(idx, big):
+            concl = Transition(n1, b_part, n2)
+            if concl in idx.trans:
                 continue
-            for a_part in proper_submultisets(e_part):
-                n1s = inter(a_part)
-                if not n1s:
-                    continue
-                b_part = multiset_diff(e_part, a_part)
-                for n1 in n1s:
-                    for n2 in n2s:
-                        concl = Transition(n1, b_part, n2)
-                        if concl in trans:
-                            continue
-                        trans.add(concl)
-                        index(concl)
-                        inter_cache.clear()
-                        # every side premise of a rule instance is anchored at
-                        # the big transition's source or target, so this
-                        # reschedule (which covers ``big`` itself) is complete
-                        for affected in bigs_by_src[concl.src] | bigs_by_tgt[concl.tgt]:
-                            schedule(affected)
-                        if concl.arity >= 3:
-                            schedule(concl)
-    return frozenset(trans)
+            idx.add(concl)
+            if concl.arity >= 3:
+                index_big(concl)
+            # every side premise of a rule instance is anchored at the big
+            # transition's source or target, so this reschedule (which
+            # covers ``big`` itself, and ``concl`` if it is big) is complete
+            for affected in bigs_by_src[concl.src] | bigs_by_tgt[concl.tgt]:
+                schedule(affected)
+    return frozenset(idx.trans)
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +284,19 @@ class AxiomReport:
         }
 
 
-def _ordered(transitions) -> list[Transition]:
-    return sorted(transitions, key=lambda t: (t.arity, t.src, t.acts, t.tgt))
-
-
 def _check_coherence(order, idx):
     for t in order:
         if t.arity < 3:
             continue
-        for e_part in proper_submultisets(t.acts):
-            n2s = idx.intermediates(t.src, e_part, multiset_diff(t.acts, e_part), t.tgt)
-            if not n2s:
-                continue
-            for a_part in proper_submultisets(e_part):
-                n1s = idx.intermediates(t.src, a_part, multiset_diff(t.acts, a_part), t.tgt)
-                b_part = multiset_diff(e_part, a_part)
-                for n1 in n1s:
-                    for n2 in n2s:
-                        if not idx.has(n1, b_part, n2):
-                            return {
-                                "transition": t.as_tuple(),
-                                "missing": Transition(n1, b_part, n2).as_tuple(),
-                                "left": list(a_part),
-                                "mid": list(b_part),
-                                "right": list(multiset_diff(t.acts, e_part)),
-                            }
+        for a_part, b_part, e_part, n1, n2 in _rule_instances(idx, t):
+            if not idx.has(n1, b_part, n2):
+                return {
+                    "transition": t.as_tuple(),
+                    "missing": Transition(n1, b_part, n2).as_tuple(),
+                    "left": list(a_part),
+                    "mid": list(b_part),
+                    "right": list(multiset_diff(t.acts, e_part)),
+                }
     return None
 
 
@@ -329,41 +313,41 @@ def _check_csa1(order, labels):
     return None
 
 
-def _split_scan(order, idx, need_unique):
-    """First split violating existence (and uniqueness, if asked)."""
+def _splits(order, idx):
+    """Each split of each transition of arity >= 2, in scan order.
+
+    Yields (t, part, forward, reverse): the states that interleave
+    ``part`` before the rest of ``t``, and those that interleave it
+    after.  The reverse interleaving of a split is the forward one of
+    its complement, so the index computes each split's states once.
+    """
     for t in order:
         if t.arity < 2:
             continue
         for part in proper_submultisets(t.acts):
             rest = multiset_diff(t.acts, part)
-            mids = idx.intermediates(t.src, part, rest, t.tgt)
-            bad = (len(mids) != 1) if need_unique else (len(mids) == 0)
-            if bad:
-                return {
-                    "transition": t.as_tuple(),
-                    "split": list(part),
-                    "intermediates": mids,
-                }
-    return None
+            yield t, part, idx.intermediates(t, part), idx.intermediates(t, rest)
 
 
-def _check_csa2(order, idx):
-    """Per split, a unique state must interleave it in both orders."""
-    for t in order:
-        if t.arity < 2:
+def _check_splits(order, idx) -> dict:
+    """First failing split for uisa, csa2 and intermediate, in one scan.
+
+    uisa wants one state per split, csa2 one in each order, and
+    intermediate at least one.
+    """
+    found = {"uisa": None, "csa2": None, "intermediate": None}
+    for t, part, forward, reverse in _splits(order, idx):
+        if len(forward) == 1 and len(reverse) == 1:
             continue
-        for part in proper_submultisets(t.acts):
-            rest = multiset_diff(t.acts, part)
-            forward = idx.intermediates(t.src, part, rest, t.tgt)
-            reverse = idx.intermediates(t.src, rest, part, t.tgt)
-            if len(forward) != 1 or len(reverse) != 1:
-                return {
-                    "transition": t.as_tuple(),
-                    "split": list(part),
-                    "forward_intermediates": forward,
-                    "reverse_intermediates": reverse,
-                }
-    return None
+        where = {"transition": t.as_tuple(), "split": list(part)}
+        if found["csa2"] is None:
+            found["csa2"] = dict(where, forward_intermediates=forward, reverse_intermediates=reverse)
+        if len(forward) != 1 and found["uisa"] is None:
+            found["uisa"] = dict(where, intermediates=forward)
+        if not forward:  # uisa and csa2 have failed by now too
+            found["intermediate"] = dict(where, intermediates=forward)
+            break
+    return found
 
 
 def _check_csa3(order, idx):
@@ -371,39 +355,33 @@ def _check_csa3(order, idx):
         if t.arity < 3:
             continue
         for a_part in proper_submultisets(t.acts):
-            rest = multiset_diff(t.acts, a_part)
-            n1s = idx.intermediates(t.src, a_part, rest, t.tgt)
+            n1s = idx.intermediates(t, a_part)
             if not n1s:
                 continue
-            for b_part in proper_submultisets(rest):
-                c_part = multiset_diff(rest, b_part)
-                ab_part = multiset_union(a_part, b_part)
-                n2ps = idx.intermediates(t.src, ab_part, c_part, t.tgt)
-                if not n2ps:
-                    continue
+            for b_part in proper_submultisets(multiset_diff(t.acts, a_part)):
+                ab_part = tuple(sorted(a_part + b_part))
+                c_part = multiset_diff(t.acts, ab_part)
+                # pairs (n1', n2'): n2' splits t after A+B, n1' leads to it by B
+                primes = [
+                    (n1p, n2p)
+                    for n2p in idx.intermediates(t, ab_part)
+                    for n1p in sorted(idx.targets.get((t.src, a_part), ()))
+                    if idx.has(n1p, b_part, n2p)
+                ]
                 for n1 in n1s:
-                    n2s = [
-                        n2
-                        for n2 in sorted(idx.targets.get((n1, b_part), ()))
-                        if idx.has(n2, c_part, t.tgt)
-                    ]
-                    for n2 in n2s:
-                        for n2p in n2ps:
-                            n1ps = [
-                                nu
-                                for nu in sorted(idx.targets.get((t.src, a_part), ()))
-                                if idx.has(nu, b_part, n2p)
-                            ]
-                            for n1p in n1ps:
-                                if n1 != n1p or n2 != n2p:
-                                    return {
-                                        "transition": t.as_tuple(),
-                                        "parts": [list(a_part), list(b_part), list(c_part)],
-                                        "nu1": n1,
-                                        "nu1_prime": n1p,
-                                        "nu2": n2,
-                                        "nu2_prime": n2p,
-                                    }
+                    for n2 in sorted(idx.targets.get((n1, b_part), ())):
+                        if not idx.has(n2, c_part, t.tgt):
+                            continue
+                        for n1p, n2p in primes:
+                            if (n1, n2) != (n1p, n2p):
+                                return {
+                                    "transition": t.as_tuple(),
+                                    "parts": [list(a_part), list(b_part), list(c_part)],
+                                    "nu1": n1,
+                                    "nu1_prime": n1p,
+                                    "nu2": n2,
+                                    "nu2_prime": n2p,
+                                }
     return None
 
 
@@ -414,49 +392,23 @@ def validate(system: WeakHDTS) -> AxiomReport:
     tgt) order, so the reported witness for a failed axiom is the least
     offending instance in that order.
     """
-    order = _ordered(system.transitions)
-    idx = _Index(system.transitions)
-    labels = system.label_map()
-    witnesses = {}
-
-    w = _check_coherence(order, idx)
-    coherence_closed = w is None
-    if w:
-        witnesses["coherence"] = w
-
-    w = _check_csa1(order, labels)
-    csa1 = w is None
-    if w:
-        witnesses["csa1"] = w
-
-    w = _split_scan(order, idx, need_unique=True)
-    uisa = w is None
-    if w:
-        witnesses["uisa"] = w
-
-    w = _check_csa2(order, idx)
-    csa2 = w is None
-    if w:
-        witnesses["csa2"] = w
-
-    w = _split_scan(order, idx, need_unique=False)
-    intermediate = w is None
-    if w:
-        witnesses["intermediate"] = w
-
-    w = _check_csa3(order, idx)
-    csa3 = w is None
-    if w:
-        witnesses["csa3"] = w
-
-    return AxiomReport(coherence_closed, csa1, csa2, csa3, uisa, intermediate, witnesses)
+    order = system.sorted_transitions()
+    idx = _Index(order)
+    found = {
+        "coherence": _check_coherence(order, idx),
+        "csa1": _check_csa1(order, system.label_map()),
+        **_check_splits(order, idx),
+        "csa3": _check_csa3(order, idx),
+    }
+    witnesses = {name: w for name, w in found.items() if w is not None}
+    ok = {name: w is None for name, w in found.items()}
+    return AxiomReport(coherence_closed=ok.pop("coherence"), **ok, witnesses=witnesses)
 
 
 def uisa_holds(transitions: Iterable[Transition]) -> bool:
     """Unique-intermediate check on a bare transition set."""
     order = _ordered(transitions)
-    idx = _Index(order)
-    return _split_scan(order, idx, need_unique=True) is None
+    return all(len(forward) == 1 for _, _, forward, _ in _splits(order, _Index(order)))
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +645,89 @@ def disjoint_union(*objects: WeakHDTS) -> WeakHDTS:
 # morphism enumeration and isomorphism search
 
 
+def _signatures(z: WeakHDTS) -> dict[int, tuple]:
+    """Per state, the sorted label words of its outgoing and incoming transitions."""
+    lab = z.label_map()
+    sig: dict[int, list] = {s: [] for s in z.states}
+    for t in z.transitions:
+        w = tuple(sorted(lab[a] for a in t.acts))
+        sig[t.src].append(("out", w))
+        sig[t.tgt].append(("in", w))
+    return {s: tuple(sorted(v)) for s, v in sig.items()}
+
+
+def _homs(src: WeakHDTS, dst: WeakHDTS, signatures=None):
+    """Morphisms src -> dst, in the order of ``hom_enumerate``.
+
+    A partial assignment is pruned as soon as some transition's image
+    cannot exist in ``dst``.  With ``signatures`` (a pair of
+    ``_signatures``), maps are injective and keep each state's
+    signature; between systems of equal sizes they are isomorphisms.
+    """
+    src_label = src.label_map()
+    by_label: dict[str, list[int]] = defaultdict(list)
+    for a in dst.actions:  # sorted by id
+        by_label[a.label].append(a.id)
+    fwd, bwd = defaultdict(set), defaultdict(set)  # (state, acts) -> targets, sources
+    for t in dst.transitions:
+        fwd[(t.src, t.acts)].add(t.tgt)
+        bwd[(t.tgt, t.acts)].add(t.src)
+    dst_msets = {t.acts for t in dst.transitions}
+
+    completed_by: dict[int, list[Transition]] = defaultdict(list)  # by largest action
+    touching: dict[int, list[Transition]] = defaultdict(list)
+    for t in sorted(src.transitions):
+        completed_by[t.acts[-1]].append(t)
+        touching[t.src].append(t)
+        if t.tgt != t.src:
+            touching[t.tgt].append(t)
+    incident = sorted(touching)
+    order = [("a", a) for a in src.action_ids]
+    order += [("s", s) for s in incident + sorted(src.states - set(incident))]
+
+    dst_states = sorted(dst.states)
+
+    def candidates(var):
+        sort, x = var
+        return by_label.get(src_label[x], ()) if sort == "a" else dst_states
+
+    # each transition's image multiset, stored when its largest action is
+    # assigned; actions precede states in ``order``, so states see it current
+    image: dict[Transition, tuple[int, ...]] = {}
+
+    def consistent(var, value, assign):
+        sort, x = var
+        if sort == "a":
+            for t in completed_by[x]:
+                acts = tuple(sorted(value if a == x else assign[("a", a)] for a in t.acts))
+                if acts not in dst_msets:
+                    return False
+                image[t] = acts
+            return True
+        if signatures is not None and signatures[0][x] != signatures[1][value]:
+            return False
+        for t in touching[x]:
+            s = value if t.src == x else assign.get(("s", t.src))
+            g = value if t.tgt == x else assign.get(("s", t.tgt))
+            if s is not None and g is not None:
+                ok = g in fwd.get((s, image[t]), ())
+            elif s is not None:
+                ok = (s, image[t]) in fwd
+            else:
+                ok = (g, image[t]) in bwd
+            if not ok:
+                return False
+        return True
+
+    for assign in backtrack(order, candidates, consistent, injective=signatures is not None):
+        yield HdtsMorphism(
+            src,
+            dst,
+            {x: v for (sort, x), v in assign.items() if sort == "s"},
+            {x: v for (sort, x), v in assign.items() if sort == "a"},
+        )
+
+
 def hom_enumerate(src: WeakHDTS, dst: WeakHDTS) -> list[HdtsMorphism]:
     """All morphisms src -> dst, exhaustively, in a deterministic order.
 
@@ -700,76 +735,7 @@ def hom_enumerate(src: WeakHDTS, dst: WeakHDTS) -> list[HdtsMorphism]:
     in order of transition incidence; partial assignments are pruned
     against the target's transition indexes.  Worst case exponential.
     """
-    dst_states = sorted(dst.states)
-    src_actions = sorted(src.action_ids)
-    src_label = src.label_map()
-    by_label: dict[str, list[int]] = defaultdict(list)
-    for a in dst.actions:
-        by_label[a.label].append(a.id)
-    for ids in by_label.values():
-        ids.sort()
-
-    fwd: dict[tuple[int, tuple[int, ...]], set[int]] = defaultdict(set)
-    bwd: dict[tuple[int, tuple[int, ...]], set[int]] = defaultdict(set)
-    dst_msets = set()
-    for t in dst.transitions:
-        fwd[(t.src, t.acts)].add(t.tgt)
-        bwd[(t.tgt, t.acts)].add(t.src)
-        dst_msets.add(t.acts)
-
-    src_trans = sorted(src.transitions)
-    incident = sorted({s for t in src_trans for s in (t.src, t.tgt)})
-    state_order = incident + sorted(src.states - set(incident))
-    touching: dict[int, list[Transition]] = defaultdict(list)
-    for t in src_trans:
-        touching[t.src].append(t)
-        if t.tgt != t.src:
-            touching[t.tgt].append(t)
-
-    out: list[HdtsMorphism] = []
-
-    def states_pass(amap: dict[int, int]):
-        mapped = {t: tuple(sorted(amap[a] for a in t.acts)) for t in src_trans}
-        if any(m not in dst_msets for m in mapped.values()):
-            return
-        smap: dict[int, int] = {}
-
-        def feasible(t: Transition) -> bool:
-            ms = mapped[t]
-            have_src, have_tgt = t.src in smap, t.tgt in smap
-            if have_src and have_tgt:
-                return smap[t.tgt] in fwd.get((smap[t.src], ms), ())
-            if have_src:
-                return bool(fwd.get((smap[t.src], ms)))
-            if have_tgt:
-                return bool(bwd.get((smap[t.tgt], ms)))
-            return True
-
-        def rec(k: int):
-            if k == len(state_order):
-                out.append(HdtsMorphism(src, dst, dict(smap), dict(amap)))
-                return
-            s = state_order[k]
-            for cand in dst_states:
-                smap[s] = cand
-                if all(feasible(t) for t in touching[s]):
-                    rec(k + 1)
-                del smap[s]
-
-        rec(0)
-
-    def actions_pass(k: int, amap: dict[int, int]):
-        if k == len(src_actions):
-            states_pass(dict(amap))
-            return
-        a = src_actions[k]
-        for cand in by_label.get(src_label[a], ()):
-            amap[a] = cand
-            actions_pass(k + 1, amap)
-            del amap[a]
-
-    actions_pass(0, {})
-    return out
+    return list(_homs(src, dst))
 
 
 def is_orthogonal(system: WeakHDTS, f: HdtsMorphism) -> bool:
@@ -781,94 +747,11 @@ def is_orthogonal(system: WeakHDTS, f: HdtsMorphism) -> bool:
 
 def iso_check(left: WeakHDTS, right: WeakHDTS) -> HdtsMorphism | None:
     """An isomorphism left -> right if one exists, found deterministically."""
-    if len(left.states) != len(right.states):
+    sig_l, sig_r = _signatures(left), _signatures(right)
+
+    def invariants(z: WeakHDTS, sig: dict[int, tuple]):
+        return len(z.transitions), sorted(a.label for a in z.actions), sorted(sig.values())
+
+    if invariants(left, sig_l) != invariants(right, sig_r):
         return None
-    if len(left.actions) != len(right.actions):
-        return None
-    if len(left.transitions) != len(right.transitions):
-        return None
-    if sorted(a.label for a in left.actions) != sorted(a.label for a in right.actions):
-        return None
-
-    def signatures(z: WeakHDTS) -> dict[int, tuple]:
-        lab = z.label_map()
-        sig: dict[int, list] = {s: [] for s in z.states}
-        for t in z.transitions:
-            w = tuple(sorted(lab[a] for a in t.acts))
-            sig[t.src].append(("out", w))
-            sig[t.tgt].append(("in", w))
-        return {s: tuple(sorted(v)) for s, v in sig.items()}
-
-    sig_l, sig_r = signatures(left), signatures(right)
-    if sorted(sig_l.values()) != sorted(sig_r.values()):
-        return None
-
-    lab_l, lab_r = left.label_map(), right.label_map()
-    actions_l = sorted(left.action_ids)
-    by_label: dict[str, list[int]] = defaultdict(list)
-    for a in right.actions:
-        by_label[a.label].append(a.id)
-    for ids in by_label.values():
-        ids.sort()
-
-    fwd: dict[tuple[int, tuple[int, ...]], set[int]] = defaultdict(set)
-    for t in right.transitions:
-        fwd[(t.src, t.acts)].add(t.tgt)
-
-    states_l = sorted(left.states)
-    trans_l = sorted(left.transitions)
-    touching: dict[int, list[Transition]] = defaultdict(list)
-    for t in trans_l:
-        touching[t.src].append(t)
-        if t.tgt != t.src:
-            touching[t.tgt].append(t)
-
-    def search_states(amap: dict[int, int]) -> HdtsMorphism | None:
-        mapped = {t: tuple(sorted(amap[a] for a in t.acts)) for t in trans_l}
-        smap: dict[int, int] = {}
-        used: set[int] = set()
-
-        def feasible(t: Transition) -> bool:
-            if t.src in smap and t.tgt in smap:
-                return smap[t.tgt] in fwd.get((smap[t.src], mapped[t]), ())
-            return True
-
-        def rec(k: int) -> bool:
-            if k == len(states_l):
-                return True
-            s = states_l[k]
-            for cand in sorted(right.states):
-                if cand in used or sig_r[cand] != sig_l[s]:
-                    continue
-                smap[s] = cand
-                used.add(cand)
-                if all(feasible(t) for t in touching[s]) and rec(k + 1):
-                    return True
-                del smap[s]
-                used.discard(cand)
-            return False
-
-        if rec(0):
-            return HdtsMorphism(left, right, dict(smap), dict(amap))
-        return None
-
-    def search_actions(k: int, amap: dict[int, int], used: set[int]) -> HdtsMorphism | None:
-        if k == len(actions_l):
-            return search_states(dict(amap))
-        a = actions_l[k]
-        for cand in by_label.get(lab_l[a], ()):
-            if cand in used:
-                continue
-            amap[a] = cand
-            used.add(cand)
-            found = search_actions(k + 1, amap, used)
-            if found is not None:
-                return found
-            del amap[a]
-            used.discard(cand)
-        return None
-
-    found = search_actions(0, {}, set())
-    if found is not None and morphism_is_iso(found):
-        return found
-    return None
+    return next(_homs(left, right, (sig_l, sig_r)), None)

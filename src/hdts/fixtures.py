@@ -94,7 +94,6 @@ class FixtureError(ValueError):
 def _builders():
     return {
         "cube_ab": ("hdts", lambda: cube(("a", "b"))),
-        "cube_ab_hdts": ("hdts", lambda: cube(("a", "b"))),
         "cube_ab_pre": ("precube", lambda: standard_cube(("a", "b"))),
         "Da": ("hdts", lambda: parallel_edges("a")),
         "doublesquare": ("precube", double_square),

@@ -17,6 +17,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .encoding import CubeEncoding, all_encodings, compose, face_encoding, sym_encoding
+from .search import backtrack
 from .unionfind import UnionFind
 
 log = logging.getLogger(__name__)
@@ -523,17 +524,26 @@ def sh_reflect(K: PrecubicalSet) -> tuple[PrecubicalSet, PrecubeMap]:
 # morphism enumeration and isomorphism search
 
 
-def hom_enumerate_precube(K: PrecubicalSet, L: PrecubicalSet) -> list[PrecubeMap]:
-    """All label-preserving maps K -> L, in a deterministic order."""
+def _maps(K: PrecubicalSet, L: PrecubicalSet, vertex_ok=None):
+    """Label-preserving maps K -> L, cells assigned in dimension order.
+
+    With ``vertex_ok``, maps are injective in each dimension and send a
+    vertex c only to a vertex d with ``vertex_ok(c, d)``.
+    """
     order = [(n, c) for n in K.dims() for c in K.ncells(n)]
     by_dim_label: dict[tuple[int, tuple], list[int]] = {}
     for n in L.dims():
         for d in L.ncells(n):
             by_dim_label.setdefault((n, L.label(n, d)), []).append(d)
-    out: list[PrecubeMap] = []
-    assign: dict[tuple[int, int], int] = {}
 
-    def consistent(n, c, d) -> bool:
+    def candidates(var):
+        n, c = var
+        return by_dim_label.get((n, K.label(n, c)), ())
+
+    def consistent(var, d, assign) -> bool:
+        n, c = var
+        if n == 0:
+            return vertex_ok is None or vertex_ok(c, d)
         for i in range(1, n + 1):
             for alpha in (0, 1):
                 if assign[(n - 1, K.face(n, c, i, alpha))] != L.face(n, d, i, alpha):
@@ -544,19 +554,13 @@ def hom_enumerate_precube(K: PrecubicalSet, L: PrecubicalSet) -> list[PrecubeMap
                 return False
         return True
 
-    def rec(k: int):
-        if k == len(order):
-            out.append(PrecubeMap(K, L, dict(assign)))
-            return
-        n, c = order[k]
-        for d in by_dim_label.get((n, K.label(n, c)), ()):
-            if consistent(n, c, d):
-                assign[(n, c)] = d
-                rec(k + 1)
-                del assign[(n, c)]
+    for assign in backtrack(order, candidates, consistent, injective=vertex_ok is not None):
+        yield PrecubeMap(K, L, assign)
 
-    rec(0)
-    return out
+
+def hom_enumerate_precube(K: PrecubicalSet, L: PrecubicalSet) -> list[PrecubeMap]:
+    """All label-preserving maps K -> L, in a deterministic order."""
+    return list(_maps(K, L))
 
 
 def iso_check_precube(
@@ -566,14 +570,10 @@ def iso_check_precube(
     match_decoration: bool = False,
 ) -> PrecubeMap | None:
     """A dimensionwise bijective map K -> L commuting with everything."""
-    if K.dims() != L.dims():
+    if {n: len(K.ncells(n)) for n in K.dims()} != {n: len(L.ncells(n)) for n in L.dims()}:
         return None
     for n in K.dims():
-        if len(K.ncells(n)) != len(L.ncells(n)):
-            return None
-        if sorted(K.label(n, c) for c in K.ncells(n)) != sorted(
-            L.label(n, d) for d in L.ncells(n)
-        ):
+        if sorted(K.label(n, c) for c in K.ncells(n)) != sorted(L.label(n, d) for d in L.ncells(n)):
             return None
 
     def vertex_sig(Z: PrecubicalSet):
@@ -587,51 +587,11 @@ def iso_check_precube(
     if sorted(sig_k.values()) != sorted(sig_l.values()):
         return None
 
-    order = [(n, c) for n in K.dims() for c in K.ncells(n)]
-    by_dim_label: dict[tuple[int, tuple], list[int]] = {}
-    for n in L.dims():
-        for d in L.ncells(n):
-            by_dim_label.setdefault((n, L.label(n, d)), []).append(d)
-    assign: dict[tuple[int, int], int] = {}
-    used: dict[int, set[int]] = {n: set() for n in K.dims()}
-
     def vertex_ok(c, d) -> bool:
-        if sig_k[c] != sig_l[d]:
-            return False
-        if match_initial and (c == K.initial) != (d == L.initial):
-            return False
-        if match_decoration and K.decoration.get(c) != L.decoration.get(d):
-            return False
-        return True
+        return (
+            sig_k[c] == sig_l[d]
+            and not (match_initial and (c == K.initial) != (d == L.initial))
+            and not (match_decoration and K.decoration.get(c) != L.decoration.get(d))
+        )
 
-    def consistent(n, c, d) -> bool:
-        if n == 0:
-            return vertex_ok(c, d)
-        for i in range(1, n + 1):
-            for alpha in (0, 1):
-                if assign[(n - 1, K.face(n, c, i, alpha))] != L.face(n, d, i, alpha):
-                    return False
-        for i in range(1, n):
-            partner = (n, K.sym(n, c, i))
-            if partner in assign and assign[partner] != L.sym(n, d, i):
-                return False
-        return True
-
-    def rec(k: int) -> bool:
-        if k == len(order):
-            return True
-        n, c = order[k]
-        for d in by_dim_label.get((n, K.label(n, c)), ()):
-            if d in used[n] or not consistent(n, c, d):
-                continue
-            assign[(n, c)] = d
-            used[n].add(d)
-            if rec(k + 1):
-                return True
-            del assign[(n, c)]
-            used[n].discard(d)
-        return False
-
-    if rec(0):
-        return PrecubeMap(K, L, dict(assign))
-    return None
+    return next(_maps(K, L, vertex_ok), None)

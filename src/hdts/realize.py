@@ -250,8 +250,7 @@ def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple[tuple[str, ...], HdtsMorph
                     cand[eps] = [t.tgt]
                     continue
                 first = tuple(sorted(ordering[k] for k in range(n) if eps[k] == 1))
-                second = tuple(sorted(ordering[k] for k in range(n) if eps[k] == 0))
-                cand[eps] = idx.intermediates(t.src, first, second, t.tgt)
+                cand[eps] = idx.intermediates(t, first)
                 if not cand[eps]:
                     feasible = False
                     break

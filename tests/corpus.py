@@ -2,8 +2,8 @@
 
 The oracles here recompute expected values by brute force, separately
 from the library's algorithms: the closure oracle rescans every rule
-instance naively, the hom-count oracle enumerates every raw assignment,
-and the random systems are closed by the library only as a final step
+instance naively, the hom-key oracle enumerates every raw assignment,
+the axiom oracle scans once per axiom, and the random closed systems are closed by the library only as a final step
 (they are not valid inputs otherwise).
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 from hdts import (
     Action,
@@ -24,6 +24,7 @@ from hdts import (
     transition,
 )
 from hdts.alphabet import DEFAULT_ALPHABET
+from hdts.core import multiset_diff, proper_submultisets
 
 ALPHA = DEFAULT_ALPHABET
 
@@ -69,29 +70,28 @@ def brute_closure(transitions):
     return frozenset(trans)
 
 
-def brute_hom_count(src: WeakHDTS, dst: WeakHDTS) -> int:
-    """Count morphisms by enumerating every raw state/action assignment."""
+def brute_hom_keys(src: WeakHDTS, dst: WeakHDTS) -> list:
+    """Sorted keys of every morphism, found by trying each raw
+    label-preserving assignment of actions and each raw assignment of
+    states."""
     src_states = sorted(src.states)
     src_actions = sorted(src.action_ids)
-    dst_states = sorted(dst.states)
-    dst_actions = sorted(dst.action_ids)
-    src_lab, dst_lab = src.label_map(), dst.label_map()
-    count = 0
-    for svals in itertools.product(dst_states, repeat=len(src_states)):
-        smap = dict(zip(src_states, svals))
-        for avals in itertools.product(dst_actions, repeat=len(src_actions)):
-            amap = dict(zip(src_actions, avals))
-            if any(src_lab[a] != dst_lab[amap[a]] for a in src_actions):
-                continue
-            ok = True
-            for t in src.transitions:
-                img = transition(smap[t.src], (amap[a] for a in t.acts), smap[t.tgt])
-                if img not in dst.transitions:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-    return count
+    dst_lab = dst.label_map()
+    action_choices = [
+        [b for b in sorted(dst_lab) if dst_lab[b] == src.label(a)] for a in src_actions
+    ]
+    keys = []
+    for avals in itertools.product(*action_choices):
+        amap = dict(zip(src_actions, avals))
+        for svals in itertools.product(sorted(dst.states), repeat=len(src_states)):
+            smap = dict(zip(src_states, svals))
+            if all(
+                transition(smap[t.src], (amap[a] for a in t.acts), smap[t.tgt])
+                in dst.transitions
+                for t in src.transitions
+            ):
+                keys.append(HdtsMorphism(src, dst, smap, amap).key())
+    return sorted(keys)
 
 
 def random_weak_hdts(seed: int, max_states: int = 6, max_arity: int = 3) -> WeakHDTS:
@@ -151,6 +151,30 @@ def random_mixed_corpus(count: int = 50):
     return out
 
 
+def random_failing_hdts(seed: int) -> WeakHDTS:
+    """An unclosed system that usually fails some axiom.
+
+    The transitions of a cube of dimension 2 or 3 with some states
+    merged, some transitions dropped and a few random ones added, so
+    that every axiom has near misses to report.
+    """
+    rng = random.Random(seed)
+    n = rng.choice((2, 3, 3))
+    base = cube(tuple(rng.choice(("a", "b")) for _ in range(n)))
+    k = rng.randint(max(2, 2**n - 6), 2**n)
+    merge = {s: s if s < k else rng.randrange(k) for s in base.states}
+    trans = {
+        transition(merge[t.src], t.acts, merge[t.tgt])
+        for t in base.transitions
+        if rng.random() > 0.1
+    }
+    ids = list(base.action_ids)
+    for _ in range(rng.randint(0, 4)):
+        acts = [rng.choice(ids) for _ in range(rng.randint(1, 3))]
+        trans.add(transition(rng.randrange(k), acts, rng.randrange(k)))
+    return WeakHDTS(frozenset(range(k)), base.actions, frozenset(trans))
+
+
 def random_precube_wedge(seed: int):
     """A wedge of standard cubes glued at one shared vertex."""
     from hdts import PrecubeMap, PrecubicalSet, colimit_presheaf, standard_cube
@@ -168,6 +192,157 @@ def random_precube_wedge(seed: int):
         arrows.append((len(cubes), i, PrecubeMap(point, K, {(0, 0): anchor})))
     out, _ = colimit_presheaf(cubes + [point], arrows)
     return out
+
+
+# ---------------------------------------------------------------------------
+# one scan per axiom (oracle for the shared split scan of hdts.core.validate)
+
+
+class _ScanIndex:
+    def __init__(self, transitions):
+        self.targets = defaultdict(set)
+        for t in transitions:
+            self.targets[(t.src, t.acts)].add(t.tgt)
+
+    def has(self, src, acts, tgt):
+        return tgt in self.targets.get((src, acts), ())
+
+    def intermediates(self, src, first, second, tgt):
+        return sorted(
+            nu
+            for nu in self.targets.get((src, first), ())
+            if tgt in self.targets.get((nu, second), ())
+        )
+
+
+def _scan_coherence(order, idx):
+    for t in order:
+        if t.arity < 3:
+            continue
+        for e_part in proper_submultisets(t.acts):
+            n2s = idx.intermediates(t.src, e_part, multiset_diff(t.acts, e_part), t.tgt)
+            if not n2s:
+                continue
+            for a_part in proper_submultisets(e_part):
+                n1s = idx.intermediates(t.src, a_part, multiset_diff(t.acts, a_part), t.tgt)
+                b_part = multiset_diff(e_part, a_part)
+                for n1 in n1s:
+                    for n2 in n2s:
+                        if not idx.has(n1, b_part, n2):
+                            return {
+                                "transition": t.as_tuple(),
+                                "missing": Transition(n1, b_part, n2).as_tuple(),
+                                "left": list(a_part),
+                                "mid": list(b_part),
+                                "right": list(multiset_diff(t.acts, e_part)),
+                            }
+    return None
+
+
+def _scan_csa1(order, labels):
+    seen = {}
+    for t in order:
+        if t.arity != 1:
+            continue
+        key = (t.src, t.tgt, labels[t.acts[0]])
+        prev = seen.get(key)
+        if prev is not None and prev.acts != t.acts:
+            return {"first": prev.as_tuple(), "second": t.as_tuple()}
+        seen.setdefault(key, t)
+    return None
+
+
+def _scan_splits(order, idx, need_unique):
+    for t in order:
+        if t.arity < 2:
+            continue
+        for part in proper_submultisets(t.acts):
+            rest = multiset_diff(t.acts, part)
+            mids = idx.intermediates(t.src, part, rest, t.tgt)
+            bad = (len(mids) != 1) if need_unique else (len(mids) == 0)
+            if bad:
+                return {"transition": t.as_tuple(), "split": list(part), "intermediates": mids}
+    return None
+
+
+def _scan_csa2(order, idx):
+    for t in order:
+        if t.arity < 2:
+            continue
+        for part in proper_submultisets(t.acts):
+            rest = multiset_diff(t.acts, part)
+            forward = idx.intermediates(t.src, part, rest, t.tgt)
+            reverse = idx.intermediates(t.src, rest, part, t.tgt)
+            if len(forward) != 1 or len(reverse) != 1:
+                return {
+                    "transition": t.as_tuple(),
+                    "split": list(part),
+                    "forward_intermediates": forward,
+                    "reverse_intermediates": reverse,
+                }
+    return None
+
+
+def _scan_csa3(order, idx):
+    for t in order:
+        if t.arity < 3:
+            continue
+        for a_part in proper_submultisets(t.acts):
+            rest = multiset_diff(t.acts, a_part)
+            n1s = idx.intermediates(t.src, a_part, rest, t.tgt)
+            if not n1s:
+                continue
+            for b_part in proper_submultisets(rest):
+                c_part = multiset_diff(rest, b_part)
+                ab_part = tuple(sorted(a_part + b_part))
+                n2ps = idx.intermediates(t.src, ab_part, c_part, t.tgt)
+                if not n2ps:
+                    continue
+                for n1 in n1s:
+                    n2s = [
+                        n2
+                        for n2 in sorted(idx.targets.get((n1, b_part), ()))
+                        if idx.has(n2, c_part, t.tgt)
+                    ]
+                    for n2 in n2s:
+                        for n2p in n2ps:
+                            n1ps = [
+                                nu
+                                for nu in sorted(idx.targets.get((t.src, a_part), ()))
+                                if idx.has(nu, b_part, n2p)
+                            ]
+                            for n1p in n1ps:
+                                if n1 != n1p or n2 != n2p:
+                                    return {
+                                        "transition": t.as_tuple(),
+                                        "parts": [list(a_part), list(b_part), list(c_part)],
+                                        "nu1": n1,
+                                        "nu1_prime": n1p,
+                                        "nu2": n2,
+                                        "nu2_prime": n2p,
+                                    }
+    return None
+
+
+def scan_validate(X: WeakHDTS) -> dict:
+    """``validate(X).as_dict()`` from one separate scan per axiom, each
+    stopping at its least witness in (arity, src, acts, tgt) order."""
+    order = sorted(X.transitions, key=lambda t: (t.arity, t.src, t.acts, t.tgt))
+    idx = _ScanIndex(order)
+    found = {
+        "coherence": _scan_coherence(order, idx),
+        "csa1": _scan_csa1(order, X.label_map()),
+        "uisa": _scan_splits(order, idx, need_unique=True),
+        "csa2": _scan_csa2(order, idx),
+        "intermediate": _scan_splits(order, idx, need_unique=False),
+        "csa3": _scan_csa3(order, idx),
+    }
+    report = {
+        "coherence_closed" if name == "coherence" else name: w is None
+        for name, w in found.items()
+    }
+    report["witnesses"] = {name: w for name, w in found.items() if w is not None}
+    return report
 
 
 #: Process terms exercising sums, nested parallels, restriction and

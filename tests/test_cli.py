@@ -114,7 +114,7 @@ def test_realize_not_strong_fails_uisa_downstream(fixture_file, capsys):
 
 
 def test_cubify_cube_attests_state_bijection(fixture_file, tmp_path, capsys):
-    code = main(["cubify", fixture_file("cube_ab_hdts"), "--out-prefix", str(tmp_path / "out")])
+    code = main(["cubify", fixture_file("cube_ab"), "--out-prefix", str(tmp_path / "out")])
     attestation = json.loads(capsys.readouterr().out)
     assert code == 0
     assert attestation["state_bijection"] is True
@@ -248,6 +248,14 @@ def test_ccs_compile_long_prefix_chain(alphabet_file):
     code, out, err = _compile_in_fresh_process(".".join(["a"] * 900) + ".nil", alphabet_file)
     assert code == 0 and err == ""
     assert len(json.loads(out)["dims"]["1"]) == 900
+
+
+def test_ccs_compile_long_closed_recursion_body(alphabet_file):
+    # the fixpoint test compares two stages of 1,201 cells each
+    term = "rec(x) " + ".".join(["a"] * 600) + ".nil"
+    code, out, err = _compile_in_fresh_process(term, alphabet_file, "--unfold", "2")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["dims"]["1"]) == 600
 
 
 @pytest.mark.parametrize(

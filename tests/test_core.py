@@ -1,11 +1,19 @@
 """Systems, axiom checkers, cubes, closure, colimits, hom search."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import brute_closure, brute_hom_count, random_mixed_corpus, random_weak_hdts
+from corpus import (
+    brute_closure,
+    brute_hom_keys,
+    random_failing_hdts,
+    random_mixed_corpus,
+    random_weak_hdts,
+    scan_validate,
+)
 from hdts import (
     Action,
     HdtsMorphism,
@@ -28,7 +36,7 @@ from hdts import (
     transition,
     validate,
 )
-from hdts.core import morphism_is_iso
+from hdts.core import morphism_is_iso, uisa_holds
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +172,14 @@ def test_closure_is_extensive_idempotent_and_matches_oracle(trans):
     assert closed == brute_closure(trans)
 
 
+def test_closure_matches_oracle_on_failing_systems():
+    # conclusions here create new intermediate states for other bigs,
+    # which a stale intermediates cache would miss
+    for seed in range(300):
+        trans = random_failing_hdts(seed).transitions
+        assert coherence_closure(trans) == brute_closure(trans)
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_transition_sets(), small_transition_sets())
 def test_closure_is_monotone(a, b):
@@ -216,6 +232,19 @@ def test_validate_missing_intermediate():
     report = validate(X)
     assert not report.intermediate and not report.uisa
     assert report.csa3  # no nine-tuple instance exists
+
+
+def test_validate_matches_one_scan_per_axiom():
+    systems = [random_failing_hdts(seed) for seed in range(500)] + random_mixed_corpus(50)
+    witnessed = Counter()
+    for X in systems:
+        report = validate(X).as_dict()
+        assert report == scan_validate(X)
+        assert uisa_holds(X.transitions) == report["uisa"]
+        witnessed.update(report["witnesses"].keys())
+    # every witness kind, and a uisa failure that still has intermediates
+    assert min(witnessed[k] for k in ("coherence", "csa1", "csa2", "csa3")) >= 50
+    assert witnessed["uisa"] - witnessed["intermediate"] >= 10
 
 
 def test_csa_equivalence_on_corpus():
@@ -310,7 +339,12 @@ def test_hom_from_point_picks_each_state():
 def test_hom_edge_into_square():
     homs = hom_enumerate(cube(("a",)), cube(("a", "b")))
     assert len(homs) == 2
-    assert len(homs) == brute_hom_count(cube(("a",)), cube(("a", "b")))
+    assert sorted(h.key() for h in homs) == brute_hom_keys(cube(("a",)), cube(("a", "b")))
+    # and small sources into every system of the corpus
+    sources = [cube(w) for w in ((), ("a",), ("b",), ("a", "b"), ("a", "a"))]
+    for Y in random_mixed_corpus(50):
+        for X in sources + [parallel_edges("a")]:
+            assert sorted(h.key() for h in hom_enumerate(X, Y)) == brute_hom_keys(X, Y)
 
 
 def test_hom_square_endomorphisms_match_label_compatible_cube_maps():
@@ -318,7 +352,7 @@ def test_hom_square_endomorphisms_match_label_compatible_cube_maps():
     # with a repeated letter the swap joins in
     assert len(hom_enumerate(cube(("a", "b")), cube(("a", "b")))) == 1
     assert len(hom_enumerate(cube(("a", "a")), cube(("a", "a")))) == 2
-    assert brute_hom_count(cube(("a", "a")), cube(("a", "a"))) == 2
+    assert len(brute_hom_keys(cube(("a", "a")), cube(("a", "a")))) == 2
 
 
 def test_hom_enumeration_is_deterministic():
