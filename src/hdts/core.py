@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .encoding import cube_vertices
+from .encoding import cube_state_bits, cube_state_id, cube_vertices  # noqa: F401
 from .search import backtrack
 from .unionfind import UnionFind
 
@@ -413,18 +413,6 @@ def uisa_holds(transitions: Iterable[Transition]) -> bool:
 
 # ---------------------------------------------------------------------------
 # cube systems
-
-
-def cube_state_id(eps: Sequence[int]) -> int:
-    """Vertex tuple -> state id (first coordinate most significant)."""
-    out = 0
-    for bit in eps:
-        out = (out << 1) | bit
-    return out
-
-
-def cube_state_bits(n: int, state_id: int) -> tuple[int, ...]:
-    return tuple((state_id >> (n - 1 - k)) & 1 for k in range(n))
 
 
 def cube(word: Sequence[str]) -> WeakHDTS:

@@ -68,6 +68,7 @@ def identity_encoding(n: int) -> CubeEncoding:
     return CubeEncoding(n, n, tuple(range(1, n + 1)))
 
 
+@lru_cache(maxsize=None)
 def face_encoding(i: int, alpha: int, n: int) -> CubeEncoding:
     """The face [n-1] -> [n] inserting the constant ``alpha`` at slot ``i``."""
     if not 1 <= i <= n:
@@ -83,6 +84,7 @@ def face_encoding(i: int, alpha: int, n: int) -> CubeEncoding:
     return CubeEncoding(n - 1, n, tuple(fhat))
 
 
+@lru_cache(maxsize=None)
 def sym_encoding(i: int, n: int) -> CubeEncoding:
     """The swap [n] -> [n] of coordinates ``i`` and ``i+1``."""
     if not 1 <= i <= n - 1:
@@ -107,6 +109,24 @@ def compose(first: CubeEncoding, then: CubeEncoding) -> CubeEncoding:
 
 def cube_vertices(n: int) -> list[tuple[int, ...]]:
     return list(itertools.product((0, 1), repeat=n))
+
+
+def cube_state_id(eps: Sequence[int]) -> int:
+    """Vertex tuple -> state id (first coordinate most significant)."""
+    out = 0
+    for bit in eps:
+        out = (out << 1) | bit
+    return out
+
+
+def cube_state_bits(n: int, state_id: int) -> tuple[int, ...]:
+    return tuple((state_id >> (n - 1 - k)) & 1 for k in range(n))
+
+
+@lru_cache(maxsize=None)
+def vertex_ids(enc: CubeEncoding) -> tuple[int, ...]:
+    """The state id in [n] of the image of each vertex of [m], by vertex id."""
+    return tuple(cube_state_id(enc.apply(eps)) for eps in cube_vertices(enc.m))
 
 
 def distance(u: Sequence[int], v: Sequence[int]) -> int:

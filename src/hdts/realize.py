@@ -27,14 +27,20 @@ from .core import (
     _Index,
     check_morphism,
     coherence_closure,
-    compose_morphisms,
     cube,
-    cube_state_bits,
-    cube_state_id,
     transition,
     validate,
 )
-from .encoding import NEG, POS, CubeEncoding, cube_vertices, face_encoding, sym_encoding
+from .encoding import (
+    NEG,
+    POS,
+    CubeEncoding,
+    cube_state_bits,
+    cube_vertices,
+    face_encoding,
+    sym_encoding,
+    vertex_ids,
+)
 from .precube import PrecubeMap, PrecubicalSet, hda_check, make_precube
 from .unionfind import UnionFind
 
@@ -157,9 +163,7 @@ def realize_cube_map(
                 f"label mismatch: source letter {i} is {src_word[i - 1]!r}, "
                 f"target reads {dst_word[j - 1]!r}"
             )
-    smap = {
-        cube_state_id(eps): cube_state_id(enc.apply(eps)) for eps in cube_vertices(enc.m)
-    }
+    smap = dict(enumerate(vertex_ids(enc)))
     amap = {i: enc.fbar_inv(i) for i in range(1, enc.m + 1)}
     return HdtsMorphism(cube(src_word), cube(dst_word), smap, amap)
 
@@ -218,8 +222,9 @@ def used_actions(X: WeakHDTS) -> frozenset[int]:
 # cubification
 
 
-def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple[tuple[str, ...], HdtsMorphism]]:
-    """All morphisms from n-cubes into ``X``, with their label words.
+def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple]:
+    """All morphisms from n-cubes into ``X`` as sorted tables (label word,
+    state of each vertex in ``cube_vertices(n)`` order, action of each direction).
 
     A map is pinned by an n-transition of ``X`` (the image of the top
     transition), an ordering of its multiset, and one intermediate state
@@ -227,39 +232,37 @@ def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple[tuple[str, ...], HdtsMorph
     entering the top corner constrain the choice, which suffices for
     coherence-closed systems."""
     if n == 0:
-        point = cube(())
-        return [((), HdtsMorphism(point, X, {0: s}, {})) for s in sorted(X.states)]
+        return [((), (s,), ()) for s in sorted(X.states)]
     idx = _Index(X.transitions)
     labels = X.label_map()
-    verts = cube_vertices(n)
-    bottom, top = verts[0], verts[-1]
+    inner = cube_vertices(n)[1:-1]
     out = []
-    for t in X.sorted_transitions():
+    for t in X.transitions:
         if t.arity != n:
             continue
-        for ordering in sorted(set(itertools.permutations(t.acts))):
-            word = tuple(labels[u] for u in ordering)
-            amap = {i + 1: ordering[i] for i in range(n)}
-            cand = {}
-            feasible = True
-            for eps in verts:
-                if eps == bottom:
-                    cand[eps] = [t.src]
-                    continue
-                if eps == top:
-                    cand[eps] = [t.tgt]
-                    continue
-                first = tuple(sorted(ordering[k] for k in range(n) if eps[k] == 1))
-                cand[eps] = idx.intermediates(t, first)
-                if not cand[eps]:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            for combo in itertools.product(*(cand[eps] for eps in verts)):
-                smap = {cube_state_id(eps): s for eps, s in zip(verts, combo)}
-                out.append((word, HdtsMorphism(cube(word), X, smap, amap)))
-    return out
+        for acts in set(itertools.permutations(t.acts)):
+            word = tuple(labels[u] for u in acts)
+            options = [
+                idx.intermediates(t, tuple(sorted(a for a, bit in zip(acts, eps) if bit)))
+                for eps in inner
+            ]
+            for states in itertools.product([t.src], *options, [t.tgt]):
+                out.append((word, states, acts))
+    return sorted(out)
+
+
+def _cell(index: dict[tuple, int], enc: CubeEncoding, table: tuple) -> int:
+    """The cell of ``enc`` followed by ``table``: precomposition is reindexing."""
+    word, states, acts = table
+    dirs = [enc.fbar_inv(i) - 1 for i in range(1, enc.m + 1)]
+    key = (
+        tuple(word[j] for j in dirs),
+        tuple(states[v] for v in vertex_ids(enc)),
+        tuple(acts[j] for j in dirs),
+    )
+    if key not in index:
+        raise StructureError(f"the input is not coherence-closed: {table} has no face {key}")
+    return index[key]
 
 
 @dataclass(frozen=True)
@@ -276,40 +279,26 @@ def cubify(X: WeakHDTS) -> Cubification:
     The complex has one n-cell per cube morphism into ``X``; faces and
     swaps act by precomposition.  The comparison morphism back to ``X``
     is bijective on states; it can collapse actions that only ever occur
-    in shared one-step transitions."""
+    in shared one-step transitions.  A system that is not coherence-closed
+    may have a cube whose face is missing, which raises ``StructureError``."""
     max_arity = max((t.arity for t in X.transitions), default=0)
-    cells, faces, syms, labels = {}, {}, {}, {}
-    index: dict[int, dict] = {}
-    per_dim: dict[int, list] = {}
-    for n in range(max_arity + 1):
-        maps = sorted(cube_maps_into(n, X), key=lambda wm: (wm[0], wm[1].key()))
-        per_dim[n] = maps
-        index[n] = {(w, g.key()): k for k, (w, g) in enumerate(maps)}
-        cells[n] = tuple(range(len(maps)))
-        for k, (w, g) in enumerate(maps):
-            if n >= 1:
-                labels[(n, k)] = w
+    per_dim = [cube_maps_into(n, X) for n in range(max_arity + 1)]
+    index = [{table: k for k, table in enumerate(maps)} for maps in per_dim]
+    cells = {n: tuple(range(len(maps))) for n, maps in enumerate(per_dim)}
+    faces, syms, labels = {}, {}, {}
     for n in range(1, max_arity + 1):
-        for k, (w, g) in enumerate(per_dim[n]):
-            for i in range(1, n + 1):
-                for alpha in (0, 1):
-                    wf = w[: i - 1] + w[i:]
-                    inc = realize_cube_map(face_encoding(i, alpha, n), wf, w)
-                    h = compose_morphisms(inc, g)
-                    faces[(n, k, i, alpha)] = index[n - 1][(wf, h.key())]
+        for k, table in enumerate(per_dim[n]):
+            labels[(n, k)] = table[0]
+            for i, alpha in itertools.product(range(1, n + 1), (0, 1)):
+                faces[(n, k, i, alpha)] = _cell(index[n - 1], face_encoding(i, alpha, n), table)
             for i in range(1, n):
-                ws = list(w)
-                ws[i - 1], ws[i] = ws[i], ws[i - 1]
-                ws = tuple(ws)
-                inc = realize_cube_map(sym_encoding(i, n), ws, w)
-                h = compose_morphisms(inc, g)
-                syms[(n, k, i)] = index[n][(ws, h.key())]
+                syms[(n, k, i)] = _cell(index[n], sym_encoding(i, n), table)
     complex_ = make_precube(cells, faces, syms, labels)
     r = realize(complex_)
-    smap = {k: g.state_map[0] for k, (_, g) in enumerate(per_dim.get(0, []))}
+    smap = {k: states[0] for k, (_, states, _) in enumerate(per_dim[0])}
     amap = {}
     for cls_id, members in enumerate(r.partition.classes):
-        images = {per_dim[1][e][1].action_map[1] for e in members}
+        images = {per_dim[1][e][2][0] for e in members}
         if len(images) != 1:
             raise StructureError("edge class maps to several actions")
         amap[cls_id] = images.pop()

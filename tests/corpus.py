@@ -3,7 +3,9 @@
 The oracles here recompute expected values by brute force, separately
 from the library's algorithms: the closure oracle rescans every rule
 instance naively, the hom-key oracle enumerates every raw assignment,
-the axiom oracle scans once per axiom, and the random closed systems are closed by the library only as a final step
+the axiom oracle scans once per axiom, the cubification oracle
+composes a morphism between cube systems for every face and swap, and
+the random closed systems are closed by the library only as a final step
 (they are not valid inputs otherwise).
 """
 
@@ -24,7 +26,18 @@ from hdts import (
     transition,
 )
 from hdts.alphabet import DEFAULT_ALPHABET
-from hdts.core import multiset_diff, proper_submultisets
+from hdts.core import (
+    StructureError,
+    _Index,
+    check_morphism,
+    compose_morphisms,
+    cube_state_id,
+    multiset_diff,
+    proper_submultisets,
+)
+from hdts.encoding import cube_vertices, face_encoding, sym_encoding
+from hdts.precube import make_precube
+from hdts.realize import Cubification, realize, realize_cube_map
 
 ALPHA = DEFAULT_ALPHABET
 
@@ -596,3 +609,108 @@ def random_rec_term(seed: int) -> str:
         return f"({term(half, bound, guarded)} + {term(size - 1 - half, bound, guarded)})"
 
     return f"rec(x) {term(rng.randint(3, 6), frozenset('x'), frozenset())}"
+
+
+# ---------------------------------------------------------------------------
+# cubification through cube systems and composed morphisms (oracle for the
+# table-based hdts.realize.cube_maps_into and cubify)
+
+
+def morphism_cube_maps_into(n: int, X: WeakHDTS) -> list[tuple[tuple[str, ...], HdtsMorphism]]:
+    """All morphisms from n-cubes into ``X``, with their label words.
+
+    A map is pinned by an n-transition of ``X`` (the image of the top
+    transition), an ordering of its multiset, and one intermediate state
+    per inner vertex; only transitions leaving the bottom corner or
+    entering the top corner constrain the choice, which suffices for
+    coherence-closed systems."""
+    if n == 0:
+        point = cube(())
+        return [((), HdtsMorphism(point, X, {0: s}, {})) for s in sorted(X.states)]
+    idx = _Index(X.transitions)
+    labels = X.label_map()
+    verts = cube_vertices(n)
+    bottom, top = verts[0], verts[-1]
+    out = []
+    for t in X.sorted_transitions():
+        if t.arity != n:
+            continue
+        for ordering in sorted(set(itertools.permutations(t.acts))):
+            word = tuple(labels[u] for u in ordering)
+            amap = {i + 1: ordering[i] for i in range(n)}
+            cand = {}
+            feasible = True
+            for eps in verts:
+                if eps == bottom:
+                    cand[eps] = [t.src]
+                    continue
+                if eps == top:
+                    cand[eps] = [t.tgt]
+                    continue
+                first = tuple(sorted(ordering[k] for k in range(n) if eps[k] == 1))
+                cand[eps] = idx.intermediates(t, first)
+                if not cand[eps]:
+                    feasible = False
+                    break
+            if not feasible:
+                continue
+            for combo in itertools.product(*(cand[eps] for eps in verts)):
+                smap = {cube_state_id(eps): s for eps, s in zip(verts, combo)}
+                out.append((word, HdtsMorphism(cube(word), X, smap, amap)))
+    return out
+
+
+def morphism_cubify(X: WeakHDTS) -> Cubification:
+    """Rebuild ``X`` from every cube mapping into it.
+
+    The complex has one n-cell per cube morphism into ``X``; faces and
+    swaps act by precomposition.  The comparison morphism back to ``X``
+    is bijective on states; it can collapse actions that only ever occur
+    in shared one-step transitions."""
+    max_arity = max((t.arity for t in X.transitions), default=0)
+    cells, faces, syms, labels = {}, {}, {}, {}
+    index: dict[int, dict] = {}
+    per_dim: dict[int, list] = {}
+    for n in range(max_arity + 1):
+        maps = sorted(morphism_cube_maps_into(n, X), key=lambda wm: (wm[0], wm[1].key()))
+        per_dim[n] = maps
+        index[n] = {(w, g.key()): k for k, (w, g) in enumerate(maps)}
+        cells[n] = tuple(range(len(maps)))
+        for k, (w, g) in enumerate(maps):
+            if n >= 1:
+                labels[(n, k)] = w
+    for n in range(1, max_arity + 1):
+        for k, (w, g) in enumerate(per_dim[n]):
+            for i in range(1, n + 1):
+                for alpha in (0, 1):
+                    wf = w[: i - 1] + w[i:]
+                    inc = realize_cube_map(face_encoding(i, alpha, n), wf, w)
+                    h = compose_morphisms(inc, g)
+                    faces[(n, k, i, alpha)] = index[n - 1][(wf, h.key())]
+            for i in range(1, n):
+                ws = list(w)
+                ws[i - 1], ws[i] = ws[i], ws[i - 1]
+                ws = tuple(ws)
+                inc = realize_cube_map(sym_encoding(i, n), ws, w)
+                h = compose_morphisms(inc, g)
+                syms[(n, k, i)] = index[n][(ws, h.key())]
+    complex_ = make_precube(cells, faces, syms, labels)
+    r = realize(complex_)
+    smap = {k: g.state_map[0] for k, (_, g) in enumerate(per_dim.get(0, []))}
+    amap = {}
+    for cls_id, members in enumerate(r.partition.classes):
+        images = {per_dim[1][e][1].action_map[1] for e in members}
+        if len(images) != 1:
+            raise StructureError("edge class maps to several actions")
+        amap[cls_id] = images.pop()
+    p = HdtsMorphism(r.system, X, smap, amap)
+    try:
+        check_morphism(p)
+    except StructureError as exc:
+        raise StructureError(
+            "comparison morphism is invalid; the input is probably not "
+            "coherence-closed"
+        ) from exc
+    if len(set(smap.values())) != len(X.states):
+        raise StructureError("comparison morphism is not bijective on states")
+    return Cubification(complex_, r.system, p, r)

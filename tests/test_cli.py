@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hdts
-from corpus import ALPHA
+from corpus import ALPHA, random_failing_hdts
 from hdts import cube, iso_check
 from hdts.cli import main
 from hdts.fixtures import build_fixture
@@ -135,6 +135,17 @@ def test_cubify_lonely_action_is_empty(fixture_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["system"]["states"] == []
+
+
+def test_cubify_not_coherence_closed_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "unclosed.json"
+    path.write_text(dumps(hdts_to_json(random_failing_hdts(345))), encoding="utf-8")
+    assert main(["cubify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "not coherence-closed" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_export_dot_cube(fixture_file, capsys):

@@ -13,12 +13,14 @@ from hdts.encoding import (
     NotCubeMapError,
     all_encodings,
     compose,
+    cube_state_id,
     cube_vertices,
     distance,
     encode_poset_map,
     face_encoding,
     identity_encoding,
     sym_encoding,
+    vertex_ids,
 )
 
 
@@ -72,6 +74,16 @@ def test_encode_round_trip(data):
     encs = all_encodings(m, n)
     enc = data.draw(st.sampled_from(list(encs)))
     assert encode_poset_map(m, n, vertex_table(enc)) == enc
+
+
+def test_vertex_ids_number_the_image_of_each_vertex():
+    for n in range(5):
+        for m in range(n + 1):
+            for enc in all_encodings(m, n):
+                ids = vertex_ids(enc)
+                assert len(ids) == 2**m
+                for k, eps in enumerate(cube_vertices(m)):
+                    assert ids[k] == cube_state_id(enc.apply(eps))
 
 
 def test_compose_with_identity():

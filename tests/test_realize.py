@@ -1,8 +1,15 @@
 """Realization, cube morphism dictionary, cubification."""
 
+import itertools
+
 import pytest
 
-from corpus import random_cube_gluing
+from corpus import (
+    morphism_cubify,
+    random_cube_gluing,
+    random_failing_hdts,
+    random_mixed_corpus,
+)
 from hdts import (
     HdtsMorphism,
     PrecubeMap,
@@ -32,10 +39,11 @@ from hdts import (
     used_actions,
     validate,
 )
-from hdts.core import morphism_is_iso
+from hdts.core import check_morphism, morphism_is_iso
 from hdts.encoding import face_encoding, sym_encoding
 from hdts.fixtures import double_square, glued_span, not_strong_complex
 from hdts.precube import make_precube
+from hdts.serialize import dumps, hdts_to_json, precube_to_json
 
 
 def one_dim(edges, n_vertices):
@@ -315,7 +323,7 @@ def test_cube_maps_into_edges_of_square():
 def test_cube_maps_into_square_itself():
     maps = cube_maps_into(2, cube(("a", "b")))
     assert len(maps) == 2
-    assert sorted(w for w, _ in maps) == [("a", "b"), ("b", "a")]
+    assert sorted(w for w, _, _ in maps) == [("a", "b"), ("b", "a")]
 
 
 def test_cube_maps_into_parallel_arrows():
@@ -325,7 +333,40 @@ def test_cube_maps_into_parallel_arrows():
 def test_cube_maps_into_repeated_letter_cube():
     maps = cube_maps_into(2, cube(("a", "a")))
     assert len(maps) == 2  # the two orderings of the two distinct actions
-    assert {w for w, _ in maps} == {("a", "a")}
+    assert {w for w, _, _ in maps} == {("a", "a")}
+
+
+ORACLE_CUBE_WORDS = ["", "a", "ab", "aa", "abc", "aba", "abcd", "abcde"]
+
+
+def _cube_map_pairs():
+    """(system, n) for the small cubes and gluings, n up to the top arity."""
+    systems = [cube(w) for w in ORACLE_CUBE_WORDS if len(w) <= 3]
+    systems += [random_cube_gluing(seed) for seed in range(10)]
+    for X in systems:
+        top = max((t.arity for t in X.transitions), default=0)
+        for n in range(min(top, 3) + 1):
+            yield X, n
+
+
+def test_cube_maps_into_tables_are_exactly_the_hom_sets():
+    pairs = list(_cube_map_pairs())
+    assert len(pairs) == 41
+    for X, n in pairs:
+        tables = cube_maps_into(n, X)
+        assert tables == sorted(set(tables))
+        got = []
+        for w, states, acts in tables:
+            g = HdtsMorphism(cube(w), X, dict(enumerate(states)), dict(enumerate(acts, 1)))
+            check_morphism(g)
+            got.append((w, g.key()))
+        letters = sorted({a.label for a in X.actions})
+        expected = [
+            (w, h.key())
+            for w in itertools.product(letters, repeat=n)
+            for h in hom_enumerate(cube(w), X)
+        ]
+        assert sorted(got) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -379,3 +420,45 @@ def test_cubify_state_bijection():
         X = random_cube_gluing(seed + 50)
         got = cubify(X)
         assert len(set(got.comparison.state_map.values())) == len(X.states)
+
+
+def _cubification_bytes(got):
+    comparison = got.comparison
+    return (
+        dumps(precube_to_json(got.complex)),
+        dumps(hdts_to_json(got.system)),
+        sorted(comparison.state_map.items()),
+        sorted(comparison.action_map.items()),
+    )
+
+
+@pytest.mark.parametrize(
+    "X",
+    [cube(w) for w in ORACLE_CUBE_WORDS]
+    + [random_cube_gluing(seed) for seed in range(60)]
+    + random_mixed_corpus(50),
+)
+def test_cubify_matches_morphism_oracle(X):
+    assert _cubification_bytes(cubify(X)) == _cubification_bytes(morphism_cubify(X))
+
+
+def test_cubify_raises_where_the_morphism_oracle_fails():
+    raised = 0
+    for seed in range(200):
+        X = random_failing_hdts(seed)
+        try:
+            expected = _cubification_bytes(morphism_cubify(X))
+        except (KeyError, StructureError):
+            raised += 1
+            with pytest.raises(StructureError):
+                cubify(X)
+            continue
+        assert _cubification_bytes(cubify(X)) == expected
+    assert raised == 26
+
+
+def test_cubify_missing_face_is_a_structure_error():
+    X = random_failing_hdts(345)
+    assert (len(X.states), len(X.transitions)) == (2, 12)
+    with pytest.raises(StructureError, match="not coherence-closed"):
+        cubify(X)
