@@ -82,7 +82,7 @@ from .realize import (
     unrealize_cube_map,
     used_actions,
 )
-from .sync import cosk_directed, fibered_product, non_twisted, sync_edges, tensor_sync
+from .sync import cosk_directed, fibered_product, tensor_sync
 from .ccs import CcsSyntaxError, ProcessTerm, compile_text, parse, semantics, term_str
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,18 +6,36 @@ silent edge for every pair of edges with complementary labels.  The
 directed coskeleton fills a 1-dimensional set whose vertex set is a
 cube of corners with every higher cube whose vertex map is non-twisted
 and whose edges can be chosen consistently.  The synchronized tensor
-product glues directed coskeletons of fibered products of cube
-skeletons over all pairs of cubes of the two factors; it interprets
-parallel composition.
+product interprets parallel composition.  It is the colimit, over all
+pairs (c, d) of a cell of each factor, of the pair entries E(c, d) (the
+directed coskeleton of the fibered product of the skeletons of the
+cubes [dim c] and [dim d]), glued along face inclusions and swap
+isomorphisms.
+
+That colimit is built without gluing.  A cell of E(c, d) is *interior*
+when its vertices vary in every coordinate of both cubes.  A face
+inclusion lands only in the boundary of its target, and each boundary
+cell is the image of exactly one interior cell of the entry of the face
+pair its support names.  A swap isomorphism maps interior onto
+interior.  So every cell of the colimit comes from an interior cell of
+a pair (c, d) with c least in its swap orbit and d least in its swap
+orbit, and two such cells meet exactly when an element of the
+stabilizer of (c, d) maps one to the other.  The output has one cell
+per such class, numbered per dimension by (c, d) and then by the
+class's least entry cell: this is the class's least (pair, entry cell)
+tag, the numbering the colimit gives.
 
 A pair entry (the coskeleton of the fibered product of two cube
 skeletons) depends on its two label words only through their shape:
 the word lengths, which letters are equal, which are silent and which
 are partners under the involution.  Pair entries are therefore built
 once per shape, over words renamed in order of first occurrence, and
-cached for the life of the process; each product relabels them back
-to its own words.  The cell maps between pair entries read no labels
-at all and are cached by the two shapes and the two cube maps.
+cached for the life of the process, together with their interiors and
+boundary preimages; each product relabels its cells back to its own
+words.  The cell maps between pair entries read no labels, are checked
+once with ``check_precube_map`` when built, and the permutations that
+carry faces to orbit representatives are cached by the two shapes and
+the two cube maps.
 """
 
 from __future__ import annotations
@@ -44,7 +62,7 @@ from .precube import (
     PrecubeError,
     PrecubeMap,
     PrecubicalSet,
-    colimit_presheaf,
+    check_precube_map,
     standard_cube,
     truncate,
 )
@@ -117,38 +135,8 @@ def fibered_product(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precub
     return _fibered(K, L, cfg).precube
 
 
-def sync_edges(K: PrecubicalSet, cfg: Alphabet) -> list[int]:
-    """Edges of ``K`` labelled with the silent label."""
-    return [e for e in K.ncells(1) if K.label(1, e) == (cfg.tau,)]
-
-
 # ---------------------------------------------------------------------------
 # directed coskeleton
-
-
-def non_twisted(n: int, p: int, vertex_map: Mapping[tuple, tuple]) -> bool:
-    """Is the vertex table [n] -> [p] built from projections and constants,
-    with every source coordinate projected at least once?
-
-    Unlike a cube-category map, a source coordinate may be projected
-    several times; the corners of a synchronization square move two
-    coordinates at once, which is exactly what this admits.
-    """
-    verts = cube_vertices(n)
-    used = set()
-    for j in range(1, p + 1):
-        column = [vertex_map[eps][j - 1] for eps in verts]
-        if all(v == 0 for v in column) or all(v == 1 for v in column):
-            continue
-        hits = [
-            k
-            for k in range(1, n + 1)
-            if all(vertex_map[eps][j - 1] == eps[k - 1] for eps in verts)
-        ]
-        if not hits:
-            return False
-        used.add(hits[0])
-    return used >= set(range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -279,11 +267,16 @@ def _cosk(K: PrecubicalSet, vertex_iso: Mapping[int, tuple]) -> _Cosk:
     return _Cosk(out, index, contents)
 
 
+@lru_cache(maxsize=None)
+def _edge_table(h: CubeEncoding) -> tuple[tuple[CubeEncoding, CubeEncoding], ...]:
+    """Each edge ``g`` of [h.m], in ``all_encodings`` order, with ``compose(g, h)``."""
+    return tuple((g, compose(g, h)) for g in all_encodings(1, h.m))
+
+
 def _transport(vmap, edict, h: CubeEncoding):
     """Restrict an (n-cell) content along ``h``: [q] -> [n]."""
-    q = h.m
-    vkey = tuple(vmap[h.apply(eps)] for eps in cube_vertices(q))
-    e2 = {g: edict[compose(g, h)] for g in all_encodings(1, q)}
+    vkey = tuple(vmap[h.apply(eps)] for eps in cube_vertices(h.m))
+    e2 = {g: edict[gh] for g, gh in _edge_table(h)}
     return (vkey, e2)
 
 
@@ -309,8 +302,20 @@ def _skeleton_tables(m: int):
 
 @dataclass(frozen=True)
 class _PairEntry:
+    """The pair entry of a shape, split into interior and boundary.
+
+    A cell is interior when its vertices vary in every coordinate of
+    both cubes.  The coordinates a boundary cell's vertices vary in (its
+    support) name an order-preserving face of each cube; ``preimage``
+    sends the cell to these two face maps and to the one interior cell
+    of their entry that the face inclusion carries onto it.
+    """
+
+    words: tuple[tuple, tuple]
     fib: _Fibered
     cosk: _Cosk
+    interior: Mapping[int, tuple[int, ...]]  # dim -> interior cells, ascending
+    preimage: Mapping[int, tuple]  # dim -> per cell: None or (face map, face map, cell)
 
 
 #: The silent letter of a renamed word pair; other letters become "0", "1", ...
@@ -324,7 +329,8 @@ def _shape(word_k: tuple, word_l: tuple, cfg: Alphabet) -> tuple[tuple, dict[str
     first occurrence in ``word_k + word_l``, the silent label to
     ``_TAU``.  The key is the two renamed words and the involution
     restricted to the letters present: all that the fibered product
-    and the directed coskeleton read of the labels.
+    and the directed coskeleton read of the labels.  Renaming is
+    canonical, so renamed subwords key the same shape as the subwords.
     """
     rename = {cfg.tau: _TAU}
     for x in word_k + word_l:
@@ -341,35 +347,114 @@ def _shape(word_k: tuple, word_l: tuple, cfg: Alphabet) -> tuple[tuple, dict[str
     return key, {c: x for x, c in rename.items()}
 
 
+#: one shared instance per map, so that cached pair entries hold no copies
+_encoding = lru_cache(maxsize=None)(CubeEncoding)
+
+
+def _support_face(lo: tuple, hi: tuple) -> CubeEncoding:
+    """The order-preserving face onto the coordinates where ``lo`` and
+    ``hi`` differ, reading the others as constants."""
+    fhat, k = [], 0
+    for a, b in zip(lo, hi):
+        if a == b:
+            fhat.append(POS if a else NEG)
+        else:
+            k += 1
+            fhat.append(k)
+    return _encoding(k, len(lo), tuple(fhat))
+
+
+def _restrict_word(word: tuple, enc: CubeEncoding) -> tuple:
+    """The label word of a cube restricted along ``enc``."""
+    return tuple(word[enc.fbar_inv(i) - 1] for i in range(1, enc.m + 1))
+
+
+def _restrict_cell(Z: PrecubicalSet, cell: tuple[int, int], face: CubeEncoding) -> tuple[int, int]:
+    """A cell of ``Z`` restricted along an order-preserving face map."""
+    n, c = cell
+    for j in range(face.n, 0, -1):
+        if face.fhat[j - 1] in (NEG, POS):
+            c = Z.face(n, c, j, int(face.fhat[j - 1] == POS))
+            n -= 1
+    return n, c
+
+
 @lru_cache(maxsize=1024)
 def _shape_entry(shape: tuple) -> _PairEntry:
     """Coskeleton of the fibered product of two cube skeletons, over the
-    renamed words of ``shape``."""
+    renamed words of ``shape``, with its interior and boundary preimages.
+
+    Raises ``PrecubeError`` unless the face inclusions carry the
+    interior cells of the face pairs' entries one to one onto the
+    boundary, which is what lets ``tensor_sync`` emit interiors only.
+    """
     word_k, word_l, pairs = shape
     cfg = Alphabet(frozenset(word_k + word_l + (_TAU,)), _TAU, pairs)
     fib = _fibered(truncate(standard_cube(word_k), 1), truncate(standard_cube(word_l), 1), cfg)
-    kbits = _skeleton_tables(len(word_k))[0]
+    m = len(word_k)
+    kbits = _skeleton_tables(m)[0]
     lbits = _skeleton_tables(len(word_l))[0]
-    iso = {
-        vid: kbits[kv] + lbits[lv] for (kv, lv), vid in fib.vertex_id.items()
-    }
-    return _PairEntry(fib, _cosk(fib.precube, iso))
+    iso = {vid: kbits[kv] + lbits[lv] for (kv, lv), vid in fib.vertex_id.items()}
+    cosk = _cosk(fib.precube, iso)
+    pc = cosk.precube
+
+    def corners(n, c):
+        """The first and the last vertex of cell (n, c), as bits."""
+        if n == 0:
+            return iso[c], iso[c]
+        if n == 1:
+            return iso[pc.face(1, c, 1, 0)], iso[pc.face(1, c, 1, 1)]
+        vkey = cosk.contents[(n, c)][0]
+        return vkey[0], vkey[-1]
+
+    interior: dict[int, tuple[int, ...]] = {}
+    by_support: dict[tuple, list[tuple[int, int]]] = {}
+    for n in pc.dims():
+        inner = []
+        for c in pc.ncells(n):
+            lo, hi = corners(n, c)
+            faces = _support_face(lo[:m], hi[:m]), _support_face(lo[m:], hi[m:])
+            if faces[0].is_identity and faces[1].is_identity:
+                inner.append(c)
+            else:
+                by_support.setdefault(faces, []).append((n, c))
+        interior[n] = tuple(inner)
+    preimage: dict[int, list] = {n: [None] * len(pc.ncells(n)) for n in pc.dims()}
+    entry = _PairEntry((word_k, word_l), fib, cosk, interior, preimage)
+    for (enc_k, enc_l), cells in by_support.items():
+        face_words = _restrict_word(word_k, enc_k), _restrict_word(word_l, enc_l)
+        face = _shape_entry(_shape(*face_words, cfg)[0])
+        cell_map = _entry_map(face, entry, enc_k, enc_l)
+        images = []
+        for n, zs in face.interior.items():
+            for z in zs:
+                y = cell_map[(n, z)]
+                images.append((n, y))
+                preimage[n][y] = (enc_k, enc_l, z)
+        if sorted(images) != cells:
+            raise PrecubeError(
+                f"the boundary of pair entry {shape} along {enc_k.fhat}, {enc_l.fhat} "
+                "is not the one image of its face's interior"
+            )
+    for n, row in preimage.items():
+        preimage[n] = tuple(row)
+    return entry
 
 
-@lru_cache(maxsize=8192)
-def _pair_map(src_shape: tuple, dst_shape: tuple, enc_k: CubeEncoding, enc_l: CubeEncoding) -> dict:
-    """Cell map between pair entries induced by maps of the two cubes.
+def _entry_map(src: _PairEntry, dst: _PairEntry, enc_k: CubeEncoding, enc_l: CubeEncoding) -> dict:
+    """Cell map between pair entries induced by maps of the two cubes,
+    checked with ``check_precube_map``.
 
-    It reads encodings, fibered tags and coskeleton contents, never
-    labels, so it serves every word pair of the two shapes.  Callers
-    share the returned dict and must not change it.
+    The map reads encodings, fibered tags and coskeleton contents; the
+    label words enter only the check, through the letters ``enc_k`` and
+    ``enc_l`` match up.
     """
-    src, dst = _shape_entry(src_shape), _shape_entry(dst_shape)
     mk = enc_k.m
-    kv_bits, _, k_eenc, _ = _skeleton_tables(mk)
-    lv_bits, _, l_eenc, _ = _skeleton_tables(enc_l.m)
+    kv_bits = _skeleton_tables(mk)[0]
+    lv_bits = _skeleton_tables(enc_l.m)[0]
     _, kv_id2, _, ke_id2 = _skeleton_tables(enc_k.n)
     _, lv_id2, _, le_id2 = _skeleton_tables(enc_l.n)
+    k_edges, l_edges = _edge_table(enc_k), _edge_table(enc_l)
 
     def kvert(v):
         return kv_id2[enc_k.apply(kv_bits[v])]
@@ -377,19 +462,13 @@ def _pair_map(src_shape: tuple, dst_shape: tuple, enc_k: CubeEncoding, enc_l: Cu
     def lvert(v):
         return lv_id2[enc_l.apply(lv_bits[v])]
 
-    def kedge(e):
-        return ke_id2[compose(k_eenc[e], enc_k)]
-
-    def ledge(e):
-        return le_id2[compose(l_eenc[e], enc_l)]
-
     def edge(tag):
-        kind = tag[0]
+        kind, x, y = tag
         if kind == "k":
-            return dst.fib.edge_id[("k", kedge(tag[1]), lvert(tag[2]))]
+            return dst.fib.edge_id[("k", ke_id2[k_edges[x][1]], lvert(y))]
         if kind == "l":
-            return dst.fib.edge_id[("l", kvert(tag[1]), ledge(tag[2]))]
-        return dst.fib.edge_id[("s", kedge(tag[1]), ledge(tag[2]))]
+            return dst.fib.edge_id[("l", kvert(x), le_id2[l_edges[y][1]])]
+        return dst.fib.edge_id[("s", ke_id2[k_edges[x][1]], le_id2[l_edges[y][1]])]
 
     def vertex_bits(bits):
         return enc_k.apply(bits[:mk]) + enc_l.apply(bits[mk:])
@@ -409,62 +488,140 @@ def _pair_map(src_shape: tuple, dst_shape: tuple, enc_k: CubeEncoding, enc_l: Cu
             vkey2 = tuple(vertex_bits(b) for b in vkey)
             edict2 = {g: edge(src.fib.edge_tag[e]) for g, e in edict.items()}
             cell_map[(n, c)] = dst.cosk.index[(n, _content_key(vkey2, edict2))]
+
+    letters = {_TAU: _TAU}
+    for word, enc, image in zip(src.words, (enc_k, enc_l), dst.words):
+        letters.update(zip(word, _restrict_word(image, enc)))
+    labels = {cell: tuple(letters[x] for x in word) for cell, word in src_pc.labels.items()}
+    check_precube_map(PrecubeMap(replace(src_pc, labels=labels), dst.cosk.precube, cell_map))
     return cell_map
 
 
-def _generators(Z: PrecubicalSet, n: int, c: int):
-    """The faces and swaps of cell ``(n, c)``: (cell, cube map into [n]) pairs."""
-    for i in range(1, n + 1):
-        for alpha in (0, 1):
-            yield (n - 1, Z.face(n, c, i, alpha)), face_encoding(i, alpha, n)
-    for i in range(1, n):
-        yield (n, Z.sym(n, c, i)), sym_encoding(i, n)
+@lru_cache(maxsize=8192)
+def _pair_map(src_shape: tuple, dst_shape: tuple, enc_k: CubeEncoding, enc_l: CubeEncoding) -> dict:
+    """``_entry_map`` between the entries of two shapes, built and checked
+    once; it serves every word pair of the two shapes.  Callers share
+    the returned dict and must not change it."""
+    return _entry_map(_shape_entry(src_shape), _shape_entry(dst_shape), enc_k, enc_l)
+
+
+def _inverse(perm: CubeEncoding) -> CubeEncoding:
+    fhat = [0] * perm.n
+    for j, k in enumerate(perm.fhat, 1):
+        fhat[k - 1] = j
+    return CubeEncoding(perm.n, perm.n, tuple(fhat))
+
+
+def _orbits(Z: PrecubicalSet):
+    """The swap orbits of the cells of ``Z``.
+
+    Returns ``rep``, sending each cell (n, c) to (r, pi): r is the least
+    cell of its orbit and pi a permutation of [n] with c = r restricted
+    along pi; and ``stab``, sending each such (n, r) to permutations
+    that generate its stabilizer (Schreier generators, none when it is
+    trivial).
+    """
+    rep: dict[tuple[int, int], tuple[int, CubeEncoding]] = {}
+    stab: dict[tuple[int, int], list[CubeEncoding]] = {}
+    for n in Z.dims():
+        ident = identity_encoding(n)
+        for r in Z.ncells(n):
+            if (n, r) in rep:
+                continue
+            rep[(n, r)] = (r, ident)
+            gens = set()
+            queue = [r]
+            for c in queue:
+                pi = rep[(n, c)][1]
+                for i in range(1, n):
+                    s = Z.sym(n, c, i)
+                    via = compose(sym_encoding(i, n), pi)
+                    if (n, s) not in rep:
+                        rep[(n, s)] = (r, via)
+                        queue.append(s)
+                    elif via != rep[(n, s)][1]:
+                        gens.add(compose(_inverse(rep[(n, s)][1]), via))
+            stab[(n, r)] = sorted(gens)
+    return rep, stab
 
 
 def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> PrecubicalSet:
     """Synchronized tensor product of two labelled symmetric precubical sets.
 
-    Glues, over every pair of cubes (one from each factor), the directed
-    coskeleton of the fibered product of their skeletons.  When both
-    factors carry an initial vertex or decorations, the result is
-    decorated pairwise.
+    Its n-cells are the interior n-cells of the pair entries E(c, d),
+    for c least in its swap orbit in ``K`` and d least in its swap orbit
+    in ``L``, taken up to the stabilizer of (c, d).  They are numbered
+    per dimension by (dim c, c, dim d, d), then by the least entry cell
+    of the class, which is the numbering of the colimit of all entries
+    (see the module docstring).  A cell's swaps are its swaps in the
+    entry.  A face in the entry's boundary is carried to its preimage,
+    then through ``_pair_map`` along the permutations from that face
+    pair to the least pair of its orbits.  When both factors carry an
+    initial vertex or decorations, the result is decorated pairwise.
     """
     if not K.vertices or not L.vertices:
         return EMPTY_PRECUBE
-    kobjs = [(n, c) for n in K.dims() for c in K.ncells(n)]
-    lobjs = [(n, c) for n in L.dims() for c in L.ncells(n)]
-    pairs = [(ko, lo) for ko in kobjs for lo in lobjs]
-    pair_index = {pair: i for i, pair in enumerate(pairs)}
+    krep, kstab = _orbits(K)
+    lrep, lstab = _orbits(L)
+    shapes: dict[tuple, tuple[tuple, dict[str, str]]] = {}
 
-    # per pair of cubes: its shape key and its pair entry relabelled to its words
-    by_words: dict[tuple, tuple[tuple, PrecubicalSet]] = {}
-    entries = []
-    for ko, lo in pairs:
+    def shape_of(ko, lo):
         words = (K.label(*ko), L.label(*lo))
-        if words not in by_words:
-            shape, letters = _shape(*words, cfg)
-            cosk = _shape_entry(shape).cosk.precube
-            labels = {cell: tuple(letters[x] for x in word) for cell, word in cosk.labels.items()}
-            by_words[words] = (shape, replace(cosk, labels=labels))
-        entries.append(by_words[words])
-    objects = [obj for _, obj in entries]
-    arrows = []
-    for pi, (ko, lo) in enumerate(pairs):
-        dst_shape, dst = entries[pi]
-        id_k, id_l = identity_encoding(ko[0]), identity_encoding(lo[0])
-        sides = [((c, lo), enc, id_l) for c, enc in _generators(K, *ko)]
-        sides += [((ko, c), id_k, enc) for c, enc in _generators(L, *lo)]
-        for src_pair, enc_k, enc_l in sides:
-            si = pair_index[src_pair]
-            src_shape, src = entries[si]
-            cmap = _pair_map(src_shape, dst_shape, enc_k, enc_l)
-            arrows.append((si, pi, PrecubeMap(src, dst, cmap)))
+        if words not in shapes:
+            shapes[words] = _shape(*words, cfg)
+        return shapes[words]
 
-    out, cocones = colimit_presheaf(objects, arrows)
+    # number the stabilizer classes of interior cells, least pair first
+    ids: dict[tuple, dict[tuple[int, int], int]] = {}
+    classes: dict[int, list[tuple]] = {}
+    for ko in sorted(kstab):
+        for lo in sorted(lstab):
+            shape, letters = shape_of(ko, lo)
+            entry = _shape_entry(shape)
+            gens = [_pair_map(shape, shape, s, identity_encoding(lo[0])) for s in kstab[ko]]
+            gens += [_pair_map(shape, shape, identity_encoding(ko[0]), t) for t in lstab[lo]]
+            here = ids[(ko, lo)] = {}
+            for p, xs in entry.interior.items():
+                out = classes.setdefault(p, [])
+                for x in xs:
+                    if (p, x) in here:
+                        continue
+                    here[(p, x)] = len(out)
+                    orbit = [x]
+                    for y in orbit:
+                        for g in gens:
+                            if (p, g[(p, y)]) not in here:
+                                here[(p, g[(p, y)])] = len(out)
+                                orbit.append(g[(p, y)])
+                    out.append((ko, lo, entry, letters, x))
+
+    def cell_id(ko, lo, entry, n, y):
+        """The output cell of cell (n, y) of the entry of (ko, lo)."""
+        if (n, y) in ids[(ko, lo)]:
+            return ids[(ko, lo)][(n, y)]
+        enc_k, enc_l, z = entry.preimage[n][y]
+        kc, lc = _restrict_cell(K, ko, enc_k), _restrict_cell(L, lo, enc_l)
+        (kr, kpi), (lr, lpi) = krep[kc], lrep[lc]
+        kr, lr = (kc[0], kr), (lc[0], lr)
+        if not (kpi.is_identity and lpi.is_identity):
+            z = _pair_map(shape_of(kc, lc)[0], shape_of(kr, lr)[0], kpi, lpi)[(n, z)]
+        return ids[(kr, lr)][(n, z)]
+
+    faces, syms, labels = {}, {}, {}
+    for p, out in classes.items():
+        for k, (ko, lo, entry, letters, x) in enumerate(out):
+            pc = entry.cosk.precube
+            if p:
+                labels[(p, k)] = tuple(letters[a] for a in pc.label(p, x))
+            for i in range(1, p + 1):
+                for alpha in (0, 1):
+                    faces[(p, k, i, alpha)] = cell_id(ko, lo, entry, p - 1, pc.face(p, x, i, alpha))
+            for i in range(1, p):
+                syms[(p, k, i)] = ids[(ko, lo)][(p, pc.sym(p, x, i))]
+    cells = {p: tuple(range(len(out))) for p, out in classes.items()}
 
     def pair_vertex(u, v) -> int:
-        pi = pair_index[((0, u), (0, v))]
-        return cocones[pi].cell_map[(0, 0)]
+        return ids[((0, u), (0, v))][(0, 0)]
 
     decoration = {}
     for u in K.vertices:
@@ -478,9 +635,6 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
     initial = None
     if K.initial is not None and L.initial is not None:
         initial = pair_vertex(K.initial, L.initial)
-    return replace(
-        out,
-        decoration=decoration,
-        initial=initial,
-        truncated=K.truncated or L.truncated or out.truncated,
+    return PrecubicalSet(
+        cells, faces, syms, labels, decoration, initial, K.truncated or L.truncated
     )

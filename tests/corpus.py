@@ -381,6 +381,40 @@ CCS_CORPUS = [
 
 
 # ---------------------------------------------------------------------------
+# helpers on synchronized products (no caller in hdts)
+
+
+def sync_edges(K, cfg) -> list[int]:
+    """Edges of ``K`` labelled with the silent label."""
+    return [e for e in K.ncells(1) if K.label(1, e) == (cfg.tau,)]
+
+
+def non_twisted(n: int, p: int, vertex_map) -> bool:
+    """Is the vertex table [n] -> [p] built from projections and constants,
+    with every source coordinate projected at least once?
+
+    Unlike a cube-category map, a source coordinate may be projected
+    several times; the corners of a synchronization square move two
+    coordinates at once, which is exactly what this admits.
+    """
+    verts = cube_vertices(n)
+    used = set()
+    for j in range(1, p + 1):
+        column = [vertex_map[eps][j - 1] for eps in verts]
+        if all(v == 0 for v in column) or all(v == 1 for v in column):
+            continue
+        hits = [
+            k
+            for k in range(1, n + 1)
+            if all(vertex_map[eps][j - 1] == eps[k - 1] for eps in verts)
+        ]
+        if not hits:
+            return False
+        used.add(hits[0])
+    return used >= set(range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
 # word-keyed tensor product (oracle for the shape-keyed caches of hdts.sync)
 
 

@@ -8,7 +8,7 @@ zero-counterexample sweeps); nothing is tolerance-calibrated.
 import itertools
 from contextlib import contextmanager
 
-from corpus import ALPHA, CCS_CORPUS, random_cube_gluing, random_mixed_corpus
+from corpus import ALPHA, CCS_CORPUS, random_cube_gluing, random_mixed_corpus, sync_edges
 from hdts import (
     boundary,
     compile_text,
@@ -30,7 +30,6 @@ from hdts import (
     realize_cube_map,
     sh_reflect,
     standard_cube,
-    sync_edges,
     transition,
     truncate,
     unrealize_cube_map,

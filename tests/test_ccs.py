@@ -2,7 +2,7 @@
 
 import pytest
 
-from corpus import ALPHA, CCS_CORPUS, random_rec_term, scratch_semantics
+from corpus import ALPHA, CCS_CORPUS, random_rec_term, scratch_semantics, sync_edges
 from hdts import (
     check_relations,
     compile_text,
@@ -12,7 +12,6 @@ from hdts import (
     parse,
     realize,
     semantics,
-    sync_edges,
     term_str,
     validate,
 )

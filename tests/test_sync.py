@@ -1,9 +1,22 @@
 """Fibered products, directed coskeleta, synchronized tensor products."""
 
+import itertools
+
 import pytest
 
-from corpus import ALPHA, CCS_CORPUS, random_sync_term, word_keyed_tensor_sync
+from corpus import (
+    ALPHA,
+    CCS_CORPUS,
+    _word_pair_entry,
+    _word_pair_map,
+    non_twisted,
+    random_precube_wedge,
+    random_sync_term,
+    sync_edges,
+    word_keyed_tensor_sync,
+)
 from hdts import (
+    CubeEncoding,
     PrecubeError,
     PrecubicalSet,
     check_relations,
@@ -12,17 +25,15 @@ from hdts import (
     fibered_product,
     iso_check,
     iso_check_precube,
-    non_twisted,
     realize,
     standard_cube,
-    sync_edges,
     tensor_sync,
     truncate,
     validate,
 )
 from hdts import ccs, sync
 from hdts.alphabet import ConfigError, make_alphabet
-from hdts.encoding import all_encodings, cube_vertices
+from hdts.encoding import NEG, POS, all_encodings, cube_vertices
 from hdts.serialize import dumps, precube_to_json
 from hdts.sync import _fibered
 
@@ -236,7 +247,11 @@ SYNC_TERMS = [t for t in CCS_CORPUS if "||" in t] + [
 ]
 
 
-@pytest.mark.parametrize("term", SYNC_TERMS + [random_sync_term(s) for s in range(30)])
+#: 200 seeds give 196 distinct terms; repeats are dropped so that test ids stay unique
+RANDOM_SYNC_TERMS = list(dict.fromkeys(random_sync_term(s) for s in range(200)))
+
+
+@pytest.mark.parametrize("term", SYNC_TERMS + RANDOM_SYNC_TERMS)
 def test_tensor_matches_word_keyed_oracle(term, monkeypatch):
     got = compile_json(term)
     monkeypatch.setattr(ccs, "tensor_sync", word_keyed_tensor_sync)
@@ -277,3 +292,160 @@ def test_tensor_checks_labels_of_a_cached_shape():
     tensor_sync(standard_cube(("a",)), standard_cube(("b",)), ALPHA)
     with pytest.raises(ConfigError, match="zz"):
         tensor_sync(standard_cube(("zz",)), standard_cube(("b",)), ALPHA)
+
+
+# ---------------------------------------------------------------------------
+# the tensor product built from interiors, against the colimit oracle
+
+P_ALPHA = make_alphabet([f"p{k}" for k in range(6)])
+
+
+def p_term(k):
+    return " || ".join(f"p{i}.nil" for i in range(k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_parallel_edges_match_word_keyed_oracle(k, monkeypatch):
+    got = compile_json(p_term(k), P_ALPHA)
+    monkeypatch.setattr(ccs, "tensor_sync", word_keyed_tensor_sync)
+    assert got == compile_json(p_term(k), P_ALPHA)
+
+
+def test_five_parallel_edges_give_the_five_cube():
+    out = ccs.semantics(ccs.parse(p_term(5), P_ALPHA), P_ALPHA)
+    check_relations(out)
+    # the symmetric 5-cube: C(5, j) * 2^(5-j) * j! cells in dimension j
+    assert {n: len(out.ncells(n)) for n in out.dims()} == {
+        0: 32, 1: 80, 2: 160, 3: 240, 4: 240, 5: 120
+    }
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tensor_of_wedges_matches_word_keyed_oracle(seed):
+    W = random_precube_wedge(seed)
+    for C in (standard_cube(("abar",)), standard_cube(("b", "abar"))):
+        for K, L in ((W, C), (C, W)):
+            want = precube_to_json(word_keyed_tensor_sync(K, L, ALPHA))
+            assert precube_to_json(tensor_sync(K, L, ALPHA)) == want
+
+
+def self_swapped_square():
+    """A square whose swap is itself: both faces agree in each direction,
+    so its boundary is a path of two ``a`` edges."""
+    faces = {(1, 0, 1, 0): 0, (1, 0, 1, 1): 1, (1, 1, 1, 0): 1, (1, 1, 1, 1): 2}
+    faces.update({(2, 0, i, alpha): alpha for i in (1, 2) for alpha in (0, 1)})
+    labels = {(1, 0): ("a",), (1, 1): ("a",), (2, 0): ("a", "a")}
+    return PrecubicalSet({0: (0, 1, 2), 1: (0, 1), 2: (0,)}, faces, {(2, 0, 1): 0}, labels)
+
+
+def test_tensor_identifies_interiors_under_the_stabilizer():
+    S, B = self_swapped_square(), standard_cube(("b",))
+    check_relations(S)
+    for K, L in ((S, B), (B, S)):
+        out = tensor_sync(K, L, ALPHA)
+        check_relations(out)
+        assert {n: len(out.ncells(n)) for n in out.dims()} == {0: 6, 1: 7, 2: 6, 3: 3}
+        assert precube_to_json(out) == precube_to_json(word_keyed_tensor_sync(K, L, ALPHA))
+
+
+def reversed_ids(K, n):
+    """``K`` with its n-cells numbered backwards."""
+    top = len(K.ncells(n)) - 1
+
+    def f(d, c):
+        return top - c if d == n else c
+
+    faces = {(d, f(d, c), i, a): f(d - 1, v) for (d, c, i, a), v in K.faces.items()}
+    syms = {(d, f(d, c), i): f(d, v) for (d, c, i), v in K.syms.items()}
+    labels = {(d, f(d, c)): w for (d, c), w in K.labels.items()}
+    return PrecubicalSet(K.cells, faces, syms, labels)
+
+
+@pytest.mark.parametrize("word,other", [(("a", "b", "abar"), ("abar",)), (("a", "a", "b"), ("b",))])
+def test_tensor_carries_faces_to_their_orbit_representatives(word, other):
+    """With the squares of a 3-cube numbered backwards, the faces of the
+    least 3-cell are not the least squares of their swap orbits."""
+    K, C = reversed_ids(standard_cube(word), 2), standard_cube(other)
+    check_relations(K)
+    for X, Y in ((K, C), (C, K)):
+        want = precube_to_json(word_keyed_tensor_sync(X, Y, ALPHA))
+        assert precube_to_json(tensor_sync(X, Y, ALPHA)) == want
+
+
+def order_preserving_faces(m):
+    """Every order-preserving map [k] -> [m]: a face of [m] or the identity."""
+    for fhat in itertools.product(("var", NEG, POS), repeat=m):
+        k = itertools.count(1)
+        yield CubeEncoding(fhat.count("var"), m, tuple(next(k) if v == "var" else v for v in fhat))
+
+
+def interior_cells(entry, m, n):
+    """The cells of a word-keyed pair entry of cubes [m] and [n] whose
+    vertices vary in all m + n coordinates."""
+    fib, cosk = entry
+    pc = cosk.precube
+
+    def bits(v):
+        kv, lv = fib.vertex_pair[v]
+        return all_encodings(0, m)[kv].apply(()) + all_encodings(0, n)[lv].apply(())
+
+    out = set()
+    for d in pc.dims():
+        for c in pc.ncells(d):
+            if d == 0:
+                corners = [bits(c)]
+            elif d == 1:
+                corners = [bits(pc.face(1, c, 1, a)) for a in (0, 1)]
+            else:
+                corners = cosk.contents[(d, c)][0]
+            if all(len({b[j] for b in corners}) == 2 for j in range(m + n)):
+                out.add((d, c))
+    return out
+
+
+def test_boundary_cells_have_one_preimage_in_one_face_entry(monkeypatch):
+    """Each boundary cell of a pair entry is the image of exactly one
+    interior cell of exactly one face pair's entry, and interior cells
+    are images of none; the word-keyed oracle builds the maps."""
+    shapes = set()
+    shape = sync._shape
+
+    def recording_shape(*args):
+        key, letters = shape(*args)
+        shapes.add(key)
+        return key, letters
+
+    sync._shape_entry.cache_clear()
+    monkeypatch.setattr(sync, "_shape", recording_shape)
+    for term in SYNC_TERMS + RANDOM_SYNC_TERMS[:50]:
+        compile_json(term)
+    compile_json(p_term(4), P_ALPHA)
+    tensor_sync(self_swapped_square(), standard_cube(("b",)), ALPHA)
+    assert len(shapes) >= 30
+
+    for word_k, word_l, pairs in sorted(shapes):
+        cfg = make_alphabet(word_k + word_l, tau=sync._TAU, pairs=pairs)
+        entry = _word_pair_entry(word_k, word_l, cfg)
+        m, n = len(word_k), len(word_l)
+        hits = {}
+        for gk in order_preserving_faces(m):
+            for gl in order_preserving_faces(n):
+                if gk.is_identity and gl.is_identity:
+                    continue
+                sub_k = tuple(x for x, v in zip(word_k, gk.fhat) if v not in (NEG, POS))
+                sub_l = tuple(x for x, v in zip(word_l, gl.fhat) if v not in (NEG, POS))
+                face = _word_pair_entry(sub_k, sub_l, cfg)
+                cell_map = _word_pair_map(face, entry, gk, gl)
+                for d, z in interior_cells(face, len(sub_k), len(sub_l)):
+                    hits.setdefault((d, cell_map[(d, z)]), []).append((gk, gl, z))
+        inner = interior_cells(entry, m, n)
+        got = sync._shape_entry((word_k, word_l, pairs))
+        assert inner == {(d, c) for d, cs in got.interior.items() for c in cs}
+        pc = entry[1].precube
+        for d in pc.dims():
+            for c in pc.ncells(d):
+                if (d, c) in inner:
+                    assert (d, c) not in hits
+                    continue
+                [hit] = hits[(d, c)]
+                assert got.preimage[d][c] == hit
