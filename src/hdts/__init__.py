@@ -44,7 +44,6 @@ from .encoding import (
     NotCubeMapError,
     all_encodings,
     compose,
-    distance,
     encode_poset_map,
     face_encoding,
     identity_encoding,

@@ -423,14 +423,15 @@ def cube(word: Sequence[str]) -> WeakHDTS:
     pair of distinct comparable vertices, carrying the directions where
     they differ.
     """
-    return _cube_cached(tuple(word))
+    word = tuple(word)
+    states, transitions = _cube_frame(len(word))
+    return WeakHDTS(states, tuple(Action(i, x) for i, x in enumerate(word, 1)), transitions)
 
 
 @lru_cache(maxsize=None)
-def _cube_cached(word: tuple[str, ...]) -> WeakHDTS:
-    n = len(word)
+def _cube_frame(n: int) -> tuple[frozenset[int], frozenset[Transition]]:
+    """The states and transitions of every cube on n letters."""
     states = frozenset(cube_state_id(eps) for eps in cube_vertices(n))
-    actions = tuple(Action(i + 1, word[i]) for i in range(n))
     trans = set()
     for lo in cube_vertices(n):
         for hi in cube_vertices(n):
@@ -438,7 +439,7 @@ def _cube_cached(word: tuple[str, ...]) -> WeakHDTS:
                 continue
             dirs = tuple(i + 1 for i in range(n) if lo[i] != hi[i])
             trans.add(Transition(cube_state_id(lo), dirs, cube_state_id(hi)))
-    return WeakHDTS(states, actions, frozenset(trans))
+    return states, frozenset(trans)
 
 
 def cube_ext(word: Sequence[str]) -> WeakHDTS:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations, product
 from typing import Mapping, Sequence
 
-from .encoding import CubeEncoding, all_encodings, compose, face_encoding, sym_encoding
+from .encoding import all_encodings, face_rows, swap_rows, word_along
 from .search import backtrack
 from .unionfind import UnionFind
 
@@ -242,30 +243,30 @@ def check_shell(K: PrecubicalSet, shell: Shell) -> None:
 # standard cubes
 
 
+@lru_cache(maxsize=None)
+def _cube_shape(n: int) -> tuple[dict, dict, dict]:
+    """Cells, faces and swaps of every cube on n letters: its m-cells are
+    the rows of ``all_encodings(m, n)``, faces and swaps precomposition."""
+    cells, faces, syms = {}, {}, {}
+    for m in range(n + 1):
+        cells[m] = tuple(range(len(all_encodings(m, n))))
+        keys = product((m,), cells[m], range(1, m + 1), (0, 1))
+        faces.update(zip(keys, chain.from_iterable(face_rows(m, n)) if m else ()))
+        keys = product((m,), cells[m], range(1, m))
+        syms.update(zip(keys, chain.from_iterable(swap_rows(m, n))))
+    return cells, faces, syms
+
+
 def standard_cube(word: Sequence[str]) -> PrecubicalSet:
     """The labelled cube on ``word``: m-cells are the maps [m] -> [n]."""
     word = tuple(word)
     n = len(word)
-    cells = {}
-    faces = {}
-    syms = {}
-    labels = {}
-    index: dict[int, dict[CubeEncoding, int]] = {}
-    for m in range(n + 1):
-        encs = all_encodings(m, n)
-        cells[m] = tuple(range(len(encs)))
-        index[m] = {enc: k for k, enc in enumerate(encs)}
-        for k, enc in enumerate(encs):
-            if m >= 1:
-                labels[(m, k)] = tuple(word[enc.fbar_inv(i) - 1] for i in range(1, m + 1))
-                for i in range(1, m + 1):
-                    for alpha in (0, 1):
-                        sub = compose(face_encoding(i, alpha, m), enc)
-                        faces[(m, k, i, alpha)] = index[m - 1][sub]
-            for i in range(1, m):
-                swapped = compose(sym_encoding(i, m), enc)
-                syms[(m, k, i)] = index[m][swapped]
-    return make_precube(cells, faces, syms, labels, check=False)
+    labels = {
+        (m, k): word_along(word, enc)
+        for m in range(1, n + 1)
+        for k, enc in enumerate(all_encodings(m, n))
+    }
+    return make_precube(*_cube_shape(n), labels, check=False)
 
 
 def truncate(K: PrecubicalSet, n: int) -> PrecubicalSet:

@@ -40,6 +40,7 @@ from .encoding import (
     face_encoding,
     sym_encoding,
     vertex_ids,
+    word_along,
 )
 from .precube import PrecubeMap, PrecubicalSet, hda_check, make_precube
 from .unionfind import UnionFind
@@ -156,13 +157,9 @@ def realize_cube_map(
     src_word, dst_word = tuple(src_word), tuple(dst_word)
     if enc.m != len(src_word) or enc.n != len(dst_word):
         raise StructureError("encoding dimensions do not match the words")
-    for i in range(1, enc.m + 1):
-        j = enc.fbar_inv(i)
-        if src_word[i - 1] != dst_word[j - 1]:
-            raise StructureError(
-                f"label mismatch: source letter {i} is {src_word[i - 1]!r}, "
-                f"target reads {dst_word[j - 1]!r}"
-            )
+    for i, (x, y) in enumerate(zip(src_word, word_along(dst_word, enc)), 1):
+        if x != y:
+            raise StructureError(f"label mismatch: source letter {i} is {x!r}, target reads {y!r}")
     smap = dict(enumerate(vertex_ids(enc)))
     amap = {i: enc.fbar_inv(i) for i in range(1, enc.m + 1)}
     return HdtsMorphism(cube(src_word), cube(dst_word), smap, amap)
@@ -254,11 +251,10 @@ def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple]:
 def _cell(index: dict[tuple, int], enc: CubeEncoding, table: tuple) -> int:
     """The cell of ``enc`` followed by ``table``: precomposition is reindexing."""
     word, states, acts = table
-    dirs = [enc.fbar_inv(i) - 1 for i in range(1, enc.m + 1)]
     key = (
-        tuple(word[j] for j in dirs),
+        word_along(word, enc),
         tuple(states[v] for v in vertex_ids(enc)),
-        tuple(acts[j] for j in dirs),
+        word_along(acts, enc),
     )
     if key not in index:
         raise StructureError(f"the input is not coherence-closed: {table} has no face {key}")

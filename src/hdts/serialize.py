@@ -26,6 +26,11 @@ def _need(cond: bool, path: str, msg: str) -> None:
         raise SchemaError(f"{path}: {msg}")
 
 
+def _digits(key: str) -> bool:
+    """Is ``key`` a decimal integer that ``int`` reads (ASCII digits only)?"""
+    return key.isascii() and key.isdigit()
+
+
 def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -46,6 +51,8 @@ def alphabet_to_json(cfg: Alphabet) -> dict:
 def alphabet_from_json(doc) -> Alphabet:
     _need(isinstance(doc, dict), "$", "alphabet must be an object")
     _need(isinstance(doc.get("labels"), list), "labels", "must be a list")
+    for k, x in enumerate(doc["labels"]):
+        _need(isinstance(x, str), f"labels[{k}]", "must be a string")
     _need(isinstance(doc.get("tau"), str), "tau", "must be a string")
     pairs = doc.get("involution", [])
     _need(isinstance(pairs, list), "involution", "must be a list of pairs")
@@ -79,6 +86,8 @@ def hdts_from_json(doc) -> WeakHDTS:
     _need(isinstance(states, list) and all(isinstance(s, int) for s in states),
           "states", "must be a list of integers")
     _need(len(set(states)) == len(states), "states", "duplicate state ids")
+    for key in ("actions", "transitions"):
+        _need(isinstance(doc.get(key, []), list), key, "must be a list")
     actions = []
     seen = set()
     for k, a in enumerate(doc.get("actions", ())):
@@ -154,8 +163,8 @@ def precube_from_json(doc) -> PrecubicalSet:
     _need(isinstance(dims, dict), "dims", "must be an object")
     cells: dict[int, list[int]] = {}
     faces, syms, labels = {}, {}, {}
-    for key in sorted(dims, key=lambda s: int(s) if s.isdigit() else -1):
-        _need(key.isdigit(), f"dims.{key}", "dimension keys must be integers")
+    for key in sorted(dims, key=lambda s: int(s) if _digits(s) else -1):
+        _need(_digits(key), f"dims.{key}", "dimension keys must be integers")
         n = int(key)
         rows = dims[key]
         _need(isinstance(rows, list), f"dims.{key}", "must be a list of cells")
@@ -176,7 +185,7 @@ def precube_from_json(doc) -> PrecubicalSet:
                 for fk, v in fobj.items():
                     parts = fk.split(",")
                     _need(
-                        len(parts) == 2 and parts[0].isdigit() and parts[1] in ("0", "1"),
+                        len(parts) == 2 and _digits(parts[0]) and parts[1] in ("0", "1"),
                         f"{path}.faces.{fk}",
                         "keys must look like 'i,alpha'",
                     )
@@ -185,7 +194,7 @@ def precube_from_json(doc) -> PrecubicalSet:
                 sobj = row.get("syms", {})
                 _need(isinstance(sobj, dict), f"{path}.syms", "must be an object")
                 for sk, v in sobj.items():
-                    _need(sk.isdigit(), f"{path}.syms.{sk}", "keys must be integers")
+                    _need(_digits(sk), f"{path}.syms.{sk}", "keys must be integers")
                     _need(isinstance(v, int), f"{path}.syms.{sk}", "must be an integer")
                     syms[(n, c, int(sk))] = v
             if n >= 1:
@@ -202,7 +211,7 @@ def precube_from_json(doc) -> PrecubicalSet:
     decoration = {}
     _need(isinstance(doc.get("decoration", {}), dict), "decoration", "must be an object")
     for vk, d in doc.get("decoration", {}).items():
-        _need(vk.lstrip("-").isdigit(), f"decoration.{vk}", "keys must be vertex ids")
+        _need(_digits(vk.removeprefix("-")), f"decoration.{vk}", "keys must be vertex ids")
         _need(isinstance(d, str), f"decoration.{vk}", "must be a string")
         decoration[int(vk)] = d
     initial = doc.get("initial")

@@ -53,9 +53,12 @@ from .encoding import (
     all_encodings,
     compose,
     cube_vertices,
+    edge_ids,
     face_encoding,
     identity_encoding,
     sym_encoding,
+    vertex_ids,
+    word_along,
 )
 from .precube import (
     EMPTY_PRECUBE,
@@ -142,19 +145,10 @@ def fibered_product(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precub
 @dataclass(frozen=True)
 class _Cosk:
     precube: PrecubicalSet
-    index: Mapping[tuple, int]  # (n, content key) -> cell id, n >= 2
-    contents: Mapping[tuple[int, int], tuple]  # (n, id) -> (vkey, edict)
-
-
-def _grid_direction(enc: CubeEncoding) -> int:
-    for j, v in enumerate(enc.fhat, 1):
-        if v not in (NEG, POS):
-            return j
-    raise ValueError("not a grid edge")
-
-
-def _content_key(vkey, edict):
-    return (vkey, tuple(sorted((enc.fhat, e) for enc, e in edict.items())))
+    index: Mapping[tuple, int]  # (n, content) -> cell id, n >= 2
+    # (n, id) -> content: the corner bits of each vertex of [n], and the
+    # edge of K at each row of all_encodings(1, n)
+    contents: Mapping[tuple[int, int], tuple]
 
 
 def _cosk(K: PrecubicalSet, vertex_iso: Mapping[int, tuple]) -> _Cosk:
@@ -185,9 +179,9 @@ def _cosk(K: PrecubicalSet, vertex_iso: Mapping[int, tuple]) -> _Cosk:
     for n in range(2, p + 1):
         verts = cube_vertices(n)
         grid = all_encodings(1, n)
-        by_dir: dict[int, list[CubeEncoding]] = {}
-        for g in grid:
-            by_dir.setdefault(_grid_direction(g), []).append(g)
+        ends = [vertex_ids(g) for g in grid]
+        # edge rows by direction; the first of each leaves the bottom vertex
+        by_dir = [[r for r, g in enumerate(grid) if g.fbar_inv(1) == d] for d in range(1, n + 1)]
         options = [NEG, POS] + list(range(1, n + 1))
         found = []
         for table in itertools.product(options, repeat=p):
@@ -201,83 +195,55 @@ def _cosk(K: PrecubicalSet, vertex_iso: Mapping[int, tuple]) -> _Cosk:
                 )
 
             vkey = tuple(image(eps) for eps in verts)
-            vmap = dict(zip(verts, vkey))
             per_direction = []
-            feasible = True
-            for d in range(1, n + 1):
-                cand: dict[CubeEncoding, list[int]] = {}
-                for g in by_dir[d]:
-                    lo = bits_to_vertex.get(vmap[g.apply((0,))])
-                    hi = bits_to_vertex.get(vmap[g.apply((1,))])
-                    cand[g] = by_endpoints.get((lo, hi), [])
-                    if not cand[g]:
-                        feasible = False
+            for rows in by_dir:
+                cand = []
+                for r in rows:
+                    lo, hi = ends[r]
+                    ends_at = (bits_to_vertex.get(vkey[lo]), bits_to_vertex.get(vkey[hi]))
+                    cand.append(by_endpoints.get(ends_at, []))
+                    if not cand[-1]:
                         break
-                if not feasible:
-                    break
-                shared = set.intersection(
-                    *({K.label(1, e)[0] for e in es} for es in cand.values())
-                )
+                shared = set.intersection(*({K.label(1, e)[0] for e in es} for es in cand))
                 choices = []
                 for lab in sorted(shared):
-                    pools = [
-                        [e for e in cand[g] if K.label(1, e)[0] == lab] for g in by_dir[d]
-                    ]
-                    for pick in itertools.product(*pools):
-                        choices.append(dict(zip(by_dir[d], pick)))
+                    pools = [[e for e in es if K.label(1, e)[0] == lab] for es in cand]
+                    choices.extend(itertools.product(*pools))
                 if not choices:
-                    feasible = False
                     break
                 per_direction.append(choices)
-            if not feasible:
+            if len(per_direction) < n:
                 continue
             for combo in itertools.product(*per_direction):
-                edict = {}
-                for part in combo:
-                    edict.update(part)
-                found.append((vkey, edict))
-        found.sort(key=lambda c: _content_key(*c))
+                edges = [0] * len(grid)
+                for rows, pick in zip(by_dir, combo):
+                    for r, e in zip(rows, pick):
+                        edges[r] = e
+                found.append((vkey, tuple(edges)))
+        found.sort()
         if not found:
             break
         cells[n] = tuple(range(len(found)))
-        for cid, (vkey, edict) in enumerate(found):
-            contents[(n, cid)] = (vkey, edict)
-            index[(n, _content_key(vkey, edict))] = cid
-            word = []
-            for d in range(1, n + 1):
-                fhat = [NEG] * n
-                fhat[d - 1] = 1
-                word.append(K.label(1, edict[CubeEncoding(1, n, tuple(fhat))])[0])
-            labels[(n, cid)] = tuple(word)
-        for cid, (vkey, edict) in enumerate(found):
-            vmap = dict(zip(verts, vkey))
+        for cid, content in enumerate(found):
+            contents[(n, cid)] = content
+            index[(n, content)] = cid
+            labels[(n, cid)] = tuple(K.label(1, content[1][rows[0]])[0] for rows in by_dir)
+        for cid, content in enumerate(found):
             for i in range(1, n + 1):
                 for alpha in (0, 1):
-                    h = face_encoding(i, alpha, n)
-                    if n - 1 == 1:
-                        faces[(n, cid, i, alpha)] = edict[h]
-                    else:
-                        sub = _transport(vmap, edict, h)
-                        faces[(n, cid, i, alpha)] = index[(n - 1, _content_key(*sub))]
+                    sub = _transport(content, face_encoding(i, alpha, n))
+                    faces[(n, cid, i, alpha)] = sub[1][0] if n == 2 else index[(n - 1, sub)]
             for i in range(1, n):
-                sub = _transport(vmap, edict, sym_encoding(i, n))
-                syms[(n, cid, i)] = index[(n, _content_key(*sub))]
+                syms[(n, cid, i)] = index[(n, _transport(content, sym_encoding(i, n)))]
 
     out = PrecubicalSet(cells, faces, syms, labels, K.decoration, K.initial, K.truncated)
     return _Cosk(out, index, contents)
 
 
-@lru_cache(maxsize=None)
-def _edge_table(h: CubeEncoding) -> tuple[tuple[CubeEncoding, CubeEncoding], ...]:
-    """Each edge ``g`` of [h.m], in ``all_encodings`` order, with ``compose(g, h)``."""
-    return tuple((g, compose(g, h)) for g in all_encodings(1, h.m))
-
-
-def _transport(vmap, edict, h: CubeEncoding):
-    """Restrict an (n-cell) content along ``h``: [q] -> [n]."""
-    vkey = tuple(vmap[h.apply(eps)] for eps in cube_vertices(h.m))
-    e2 = {g: edict[gh] for g, gh in _edge_table(h)}
-    return (vkey, e2)
+def _transport(content: tuple, h: CubeEncoding) -> tuple:
+    """Restrict an n-cell content along ``h``: [q] -> [n]."""
+    vkey, edges = content
+    return tuple(vkey[v] for v in vertex_ids(h)), tuple(edges[e] for e in edge_ids(h))
 
 
 def cosk_directed(K: PrecubicalSet, vertex_iso: Mapping[int, tuple]) -> PrecubicalSet:
@@ -289,15 +255,6 @@ def cosk_directed(K: PrecubicalSet, vertex_iso: Mapping[int, tuple]) -> Precubic
 
 # ---------------------------------------------------------------------------
 # synchronized tensor product
-
-
-@lru_cache(maxsize=None)
-def _skeleton_tables(m: int):
-    vbits = tuple(enc.apply(()) for enc in all_encodings(0, m))
-    vid = {bits: k for k, bits in enumerate(vbits)}
-    eenc = all_encodings(1, m)
-    eid = {enc: k for k, enc in enumerate(eenc)}
-    return vbits, vid, eenc, eid
 
 
 @dataclass(frozen=True)
@@ -347,26 +304,14 @@ def _shape(word_k: tuple, word_l: tuple, cfg: Alphabet) -> tuple[tuple, dict[str
     return key, {c: x for x, c in rename.items()}
 
 
-#: one shared instance per map, so that cached pair entries hold no copies
-_encoding = lru_cache(maxsize=None)(CubeEncoding)
-
-
 def _support_face(lo: tuple, hi: tuple) -> CubeEncoding:
     """The order-preserving face onto the coordinates where ``lo`` and
     ``hi`` differ, reading the others as constants."""
-    fhat, k = [], 0
-    for a, b in zip(lo, hi):
-        if a == b:
-            fhat.append(POS if a else NEG)
-        else:
-            k += 1
-            fhat.append(k)
-    return _encoding(k, len(lo), tuple(fhat))
-
-
-def _restrict_word(word: tuple, enc: CubeEncoding) -> tuple:
-    """The label word of a cube restricted along ``enc``."""
-    return tuple(word[enc.fbar_inv(i) - 1] for i in range(1, enc.m + 1))
+    enc = identity_encoding(len(lo))
+    for j in range(len(lo), 0, -1):
+        if lo[j - 1] == hi[j - 1]:
+            enc = compose(face_encoding(j, lo[j - 1], enc.m), enc)
+    return enc
 
 
 def _restrict_cell(Z: PrecubicalSet, cell: tuple[int, int], face: CubeEncoding) -> tuple[int, int]:
@@ -392,8 +337,7 @@ def _shape_entry(shape: tuple) -> _PairEntry:
     cfg = Alphabet(frozenset(word_k + word_l + (_TAU,)), _TAU, pairs)
     fib = _fibered(truncate(standard_cube(word_k), 1), truncate(standard_cube(word_l), 1), cfg)
     m = len(word_k)
-    kbits = _skeleton_tables(m)[0]
-    lbits = _skeleton_tables(len(word_l))[0]
+    kbits, lbits = cube_vertices(m), cube_vertices(len(word_l))
     iso = {vid: kbits[kv] + lbits[lv] for (kv, lv), vid in fib.vertex_id.items()}
     cosk = _cosk(fib.precube, iso)
     pc = cosk.precube
@@ -422,7 +366,7 @@ def _shape_entry(shape: tuple) -> _PairEntry:
     preimage: dict[int, list] = {n: [None] * len(pc.ncells(n)) for n in pc.dims()}
     entry = _PairEntry((word_k, word_l), fib, cosk, interior, preimage)
     for (enc_k, enc_l), cells in by_support.items():
-        face_words = _restrict_word(word_k, enc_k), _restrict_word(word_l, enc_l)
+        face_words = word_along(word_k, enc_k), word_along(word_l, enc_l)
         face = _shape_entry(_shape(*face_words, cfg)[0])
         cell_map = _entry_map(face, entry, enc_k, enc_l)
         images = []
@@ -450,25 +394,16 @@ def _entry_map(src: _PairEntry, dst: _PairEntry, enc_k: CubeEncoding, enc_l: Cub
     ``enc_l`` match up.
     """
     mk = enc_k.m
-    kv_bits = _skeleton_tables(mk)[0]
-    lv_bits = _skeleton_tables(enc_l.m)[0]
-    _, kv_id2, _, ke_id2 = _skeleton_tables(enc_k.n)
-    _, lv_id2, _, le_id2 = _skeleton_tables(enc_l.n)
-    k_edges, l_edges = _edge_table(enc_k), _edge_table(enc_l)
-
-    def kvert(v):
-        return kv_id2[enc_k.apply(kv_bits[v])]
-
-    def lvert(v):
-        return lv_id2[enc_l.apply(lv_bits[v])]
+    kvert, lvert = vertex_ids(enc_k), vertex_ids(enc_l)
+    kedge, ledge = edge_ids(enc_k), edge_ids(enc_l)
 
     def edge(tag):
         kind, x, y = tag
         if kind == "k":
-            return dst.fib.edge_id[("k", ke_id2[k_edges[x][1]], lvert(y))]
+            return dst.fib.edge_id[("k", kedge[x], lvert[y])]
         if kind == "l":
-            return dst.fib.edge_id[("l", kvert(x), le_id2[l_edges[y][1]])]
-        return dst.fib.edge_id[("s", ke_id2[k_edges[x][1]], le_id2[l_edges[y][1]])]
+            return dst.fib.edge_id[("l", kvert[x], ledge[y])]
+        return dst.fib.edge_id[("s", kedge[x], ledge[y])]
 
     def vertex_bits(bits):
         return enc_k.apply(bits[:mk]) + enc_l.apply(bits[mk:])
@@ -477,21 +412,21 @@ def _entry_map(src: _PairEntry, dst: _PairEntry, enc_k: CubeEncoding, enc_l: Cub
     src_pc = src.cosk.precube
     for v in src_pc.vertices:
         kv, lv = src.fib.vertex_pair[v]
-        cell_map[(0, v)] = dst.fib.vertex_id[(kvert(kv), lvert(lv))]
+        cell_map[(0, v)] = dst.fib.vertex_id[(kvert[kv], lvert[lv])]
     for e in src_pc.ncells(1):
         cell_map[(1, e)] = edge(src.fib.edge_tag[e])
     for n in src_pc.dims():
         if n < 2:
             continue
         for c in src_pc.ncells(n):
-            vkey, edict = src.cosk.contents[(n, c)]
+            vkey, edges = src.cosk.contents[(n, c)]
             vkey2 = tuple(vertex_bits(b) for b in vkey)
-            edict2 = {g: edge(src.fib.edge_tag[e]) for g, e in edict.items()}
-            cell_map[(n, c)] = dst.cosk.index[(n, _content_key(vkey2, edict2))]
+            edges2 = tuple(edge(src.fib.edge_tag[e]) for e in edges)
+            cell_map[(n, c)] = dst.cosk.index[(n, (vkey2, edges2))]
 
     letters = {_TAU: _TAU}
     for word, enc, image in zip(src.words, (enc_k, enc_l), dst.words):
-        letters.update(zip(word, _restrict_word(image, enc)))
+        letters.update(zip(word, word_along(image, enc)))
     labels = {cell: tuple(letters[x] for x in word) for cell, word in src_pc.labels.items()}
     check_precube_map(PrecubeMap(replace(src_pc, labels=labels), dst.cosk.precube, cell_map))
     return cell_map
@@ -503,13 +438,6 @@ def _pair_map(src_shape: tuple, dst_shape: tuple, enc_k: CubeEncoding, enc_l: Cu
     once; it serves every word pair of the two shapes.  Callers share
     the returned dict and must not change it."""
     return _entry_map(_shape_entry(src_shape), _shape_entry(dst_shape), enc_k, enc_l)
-
-
-def _inverse(perm: CubeEncoding) -> CubeEncoding:
-    fhat = [0] * perm.n
-    for j, k in enumerate(perm.fhat, 1):
-        fhat[k - 1] = j
-    return CubeEncoding(perm.n, perm.n, tuple(fhat))
 
 
 def _orbits(Z: PrecubicalSet):
@@ -529,18 +457,20 @@ def _orbits(Z: PrecubicalSet):
             if (n, r) in rep:
                 continue
             rep[(n, r)] = (r, ident)
+            inverse = {r: ident}
             gens = set()
             queue = [r]
             for c in queue:
                 pi = rep[(n, c)][1]
                 for i in range(1, n):
-                    s = Z.sym(n, c, i)
-                    via = compose(sym_encoding(i, n), pi)
+                    s, swap = Z.sym(n, c, i), sym_encoding(i, n)
+                    via = compose(swap, pi)
                     if (n, s) not in rep:
                         rep[(n, s)] = (r, via)
+                        inverse[s] = compose(inverse[c], swap)
                         queue.append(s)
                     elif via != rep[(n, s)][1]:
-                        gens.add(compose(_inverse(rep[(n, s)][1]), via))
+                        gens.add(compose(inverse[s], via))
             stab[(n, r)] = sorted(gens)
     return rep, stab
 

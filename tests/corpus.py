@@ -4,7 +4,8 @@ The oracles here recompute expected values by brute force, separately
 from the library's algorithms: the closure oracle rescans every rule
 instance naively, the hom-key oracle enumerates every raw assignment,
 the axiom oracle scans once per axiom, the cubification oracle
-composes a morphism between cube systems for every face and swap, and
+composes a morphism between cube systems for every face and swap, the
+cube oracles build and validate one encoding per composite, and
 the random closed systems are closed by the library only as a final step
 (they are not valid inputs otherwise).
 """
@@ -35,7 +36,16 @@ from hdts.core import (
     multiset_diff,
     proper_submultisets,
 )
-from hdts.encoding import cube_vertices, face_encoding, sym_encoding
+from hdts.encoding import (
+    NEG,
+    POS,
+    CubeEncoding,
+    NotCubeMapError,
+    all_encodings,
+    cube_vertices,
+    face_encoding,
+    sym_encoding,
+)
 from hdts.precube import make_precube
 from hdts.realize import Cubification, realize, realize_cube_map
 
@@ -381,6 +391,17 @@ CCS_CORPUS = [
 
 
 # ---------------------------------------------------------------------------
+# cube vertices (no caller in hdts)
+
+
+def distance(u, v) -> int:
+    """Hamming distance between two vertices of the same cube."""
+    if len(u) != len(v):
+        raise ValueError("vertices of different cubes")
+    return sum(abs(a - b) for a, b in zip(u, v))
+
+
+# ---------------------------------------------------------------------------
 # helpers on synchronized products (no caller in hdts)
 
 
@@ -422,11 +443,11 @@ def _word_pair_entry(word_k, word_l, cfg):
     """Fibered product and coskeleton of two cube skeletons, built over
     the label words themselves."""
     from hdts import standard_cube, truncate
-    from hdts.sync import _cosk, _fibered, _skeleton_tables
+    from hdts.sync import _cosk, _fibered
 
     fib = _fibered(truncate(standard_cube(word_k), 1), truncate(standard_cube(word_l), 1), cfg)
-    kbits = _skeleton_tables(len(word_k))[0]
-    lbits = _skeleton_tables(len(word_l))[0]
+    kbits = [enc.apply(()) for enc in all_encodings(0, len(word_k))]
+    lbits = [enc.apply(()) for enc in all_encodings(0, len(word_l))]
     iso = {vid: kbits[kv] + lbits[lv] for (kv, lv), vid in fib.vertex_id.items()}
     return fib, _cosk(fib.precube, iso)
 
@@ -434,14 +455,16 @@ def _word_pair_entry(word_k, word_l, cfg):
 def _word_pair_map(src, dst, enc_k, enc_l):
     """Cell map between word-keyed entries, recomputed on every call."""
     from hdts.encoding import compose
-    from hdts.sync import _content_key, _skeleton_tables
 
     (src_fib, src_cosk), (dst_fib, dst_cosk) = src, dst
     mk = enc_k.m
-    kv_bits, _, k_eenc, _ = _skeleton_tables(mk)
-    lv_bits, _, l_eenc, _ = _skeleton_tables(enc_l.m)
-    _, kv_id2, _, ke_id2 = _skeleton_tables(enc_k.n)
-    _, lv_id2, _, le_id2 = _skeleton_tables(enc_l.n)
+    kv_bits = [enc.apply(()) for enc in all_encodings(0, mk)]
+    lv_bits = [enc.apply(()) for enc in all_encodings(0, enc_l.m)]
+    k_eenc, l_eenc = all_encodings(1, mk), all_encodings(1, enc_l.m)
+    kv_id2 = {enc.apply(()): k for k, enc in enumerate(all_encodings(0, enc_k.n))}
+    lv_id2 = {enc.apply(()): k for k, enc in enumerate(all_encodings(0, enc_l.n))}
+    ke_id2 = {enc: k for k, enc in enumerate(all_encodings(1, enc_k.n))}
+    le_id2 = {enc: k for k, enc in enumerate(all_encodings(1, enc_l.n))}
 
     def kvert(v):
         return kv_id2[enc_k.apply(kv_bits[v])]
@@ -468,10 +491,10 @@ def _word_pair_map(src, dst, enc_k, enc_l):
         cell_map[(1, e)] = edge(src_fib.edge_tag[e])
     for n in pc.dims():
         for c in pc.ncells(n) if n >= 2 else ():
-            vkey, edict = src_cosk.contents[(n, c)]
+            vkey, edges = src_cosk.contents[(n, c)]
             vkey2 = tuple(enc_k.apply(b[:mk]) + enc_l.apply(b[mk:]) for b in vkey)
-            edict2 = {g: edge(src_fib.edge_tag[e]) for g, e in edict.items()}
-            cell_map[(n, c)] = dst_cosk.index[(n, _content_key(vkey2, edict2))]
+            edges2 = tuple(edge(src_fib.edge_tag[e]) for e in edges)
+            cell_map[(n, c)] = dst_cosk.index[(n, (vkey2, edges2))]
     return cell_map
 
 
@@ -748,3 +771,78 @@ def morphism_cubify(X: WeakHDTS) -> Cubification:
     if len(set(smap.values())) != len(X.states):
         raise StructureError("comparison morphism is not bijective on states")
     return Cubification(complex_, r.system, p, r)
+
+
+# ---------------------------------------------------------------------------
+# the cube category built map by map (oracle for the per-dimension tables of
+# hdts.encoding, for hdts.precube.standard_cube and for hdts.core.cube)
+
+
+def pattern_words(n: int, letters=("a", "b", "tau")) -> list[tuple[str, ...]]:
+    """The words of length n over ``letters`` whose letters first occur in
+    the order of ``letters``: one word per pattern of equal positions."""
+    out = []
+    for word in itertools.product(letters, repeat=n):
+        seen = list(dict.fromkeys(word))
+        if seen == list(letters[: len(seen)]):
+            out.append(word)
+    return out
+
+
+def map_compose(first: CubeEncoding, then: CubeEncoding) -> CubeEncoding:
+    """Apply ``first`` [m]->[n], then ``then`` [n]->[p]."""
+    if first.n != then.m:
+        raise NotCubeMapError("dimensions do not chain")
+    fhat = []
+    for v in then.fhat:
+        if v in (NEG, POS):
+            fhat.append(v)
+        else:
+            fhat.append(first.fhat[v - 1])
+    return CubeEncoding(first.m, then.n, tuple(fhat))
+
+
+def map_vertex_ids(enc: CubeEncoding) -> tuple[int, ...]:
+    """The state id in [n] of the image of each vertex of [m], by vertex id."""
+    return tuple(cube_state_id(enc.apply(eps)) for eps in cube_vertices(enc.m))
+
+
+def map_standard_cube(word):
+    """The labelled cube on ``word``: m-cells are the maps [m] -> [n]."""
+    word = tuple(word)
+    n = len(word)
+    cells = {}
+    faces = {}
+    syms = {}
+    labels = {}
+    index: dict[int, dict[CubeEncoding, int]] = {}
+    for m in range(n + 1):
+        encs = all_encodings(m, n)
+        cells[m] = tuple(range(len(encs)))
+        index[m] = {enc: k for k, enc in enumerate(encs)}
+        for k, enc in enumerate(encs):
+            if m >= 1:
+                labels[(m, k)] = tuple(word[enc.fbar_inv(i) - 1] for i in range(1, m + 1))
+                for i in range(1, m + 1):
+                    for alpha in (0, 1):
+                        sub = map_compose(face_encoding(i, alpha, m), enc)
+                        faces[(m, k, i, alpha)] = index[m - 1][sub]
+            for i in range(1, m):
+                swapped = map_compose(sym_encoding(i, m), enc)
+                syms[(m, k, i)] = index[m][swapped]
+    return make_precube(cells, faces, syms, labels, check=False)
+
+
+def word_cube(word: tuple[str, ...]) -> WeakHDTS:
+    """The transition system of the labelled cube on ``word``, built per word."""
+    n = len(word)
+    states = frozenset(cube_state_id(eps) for eps in cube_vertices(n))
+    actions = tuple(Action(i + 1, word[i]) for i in range(n))
+    trans = set()
+    for lo in cube_vertices(n):
+        for hi in cube_vertices(n):
+            if lo == hi or any(a > b for a, b in zip(lo, hi)):
+                continue
+            dirs = tuple(i + 1 for i in range(n) if lo[i] != hi[i])
+            trans.add(Transition(cube_state_id(lo), dirs, cube_state_id(hi)))
+    return WeakHDTS(states, actions, frozenset(trans))

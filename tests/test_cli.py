@@ -80,6 +80,51 @@ def test_check_rejects_non_object_decoration(tmp_path, capsys):
     assert err == "error: decoration: must be an object\n"
 
 
+SQUARE_ROWS = (
+    '"0": [{"id": 0}], "1": [{"id": 0, "d10": 0, "d11": 0, "label": ["a"]}], '
+    '"2": [{"id": 0, "faces": {%s}, "syms": {%s}, "label": ["a", "a"]}]'
+)
+SQUARE_FACES = '"1,0": 0, "1,1": 0, "2,0": 0, "2,1": 0'
+
+
+@pytest.mark.parametrize(
+    "doc,path",
+    [
+        ('{"states": [0], "actions": 5}', "actions"),
+        ('{"states": [0], "actions": [], "transitions": 5}', "transitions"),
+        ('{"dims": {"\u00b2": []}}', "dims.\u00b2"),
+        ('{"dims": {%s}}' % (SQUARE_ROWS % ('"\u00b2,0": 0', '"1": 0')),
+         "dims.2[0].faces.\u00b2,0"),
+        ('{"dims": {%s}}' % (SQUARE_ROWS % (SQUARE_FACES, '"\u00b2": 0')), "dims.2[0].syms.\u00b2"),
+        ('{"dims": {"0": [{"id": 0}]}, "decoration": {"\u00b2": "x"}}', "decoration.\u00b2"),
+        ('{"dims": {"0": [{"id": 0}]}, "decoration": {"--1": "x"}}', "decoration.--1"),
+    ],
+)
+def test_check_malformed_input_is_an_input_error(tmp_path, capsys, doc, path):
+    file = tmp_path / "bad.json"
+    file.write_text(doc, encoding="utf-8")
+    code = main(["check", str(file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "labels,path",
+    [([["x"], "tau"], "labels[0]"), ([1, "tau"], "labels[0]"), (["x", {"y": 1}], "labels[1]")],
+)
+def test_alphabet_labels_must_be_strings(tmp_path, capsys, labels, path):
+    alphabet = tmp_path / "alphabet.json"
+    alphabet.write_text(json.dumps({"labels": labels, "tau": "tau"}), encoding="utf-8")
+    system = tmp_path / "system.json"
+    system.write_text('{"states": [0], "actions": []}', encoding="utf-8")
+    for argv in (["check", str(system)], ["ccs", "compile", "x.nil"]):
+        code = main(argv + ["--alphabet", str(alphabet)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {path}: must be a string\n"
+
+
 def test_check_rejects_wrong_kind(fixture_file, capsys):
     code = main(["check", fixture_file("cube_ab"), "--kind", "precube"])
     assert code == 2

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from corpus import (
     brute_closure,
     brute_hom_keys,
+    pattern_words,
     random_failing_hdts,
     random_mixed_corpus,
     random_weak_hdts,
     scan_validate,
+    word_cube,
 )
 from hdts import (
     Action,
@@ -86,6 +88,14 @@ def test_cube_empty_word():
     assert len(X.states) == 1
     assert not X.actions
     assert not X.transitions
+
+
+def test_cube_matches_the_per_word_oracle():
+    """Every word up to 5 letters over a, b, tau, and one 6-letter word per
+    pattern of repeated letters."""
+    words = [w for n in range(6) for w in itertools.product(("a", "b", "tau"), repeat=n)]
+    for word in words + pattern_words(6):
+        assert cube(word) == word_cube(word)
 
 
 def test_cube_three_letters_counts_by_pair_enumeration():

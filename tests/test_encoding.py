@@ -7,20 +7,25 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus import distance, map_compose, map_vertex_ids
 from hdts.encoding import (
     NEG,
     POS,
+    CubeEncoding,
     NotCubeMapError,
     all_encodings,
     compose,
     cube_state_id,
     cube_vertices,
-    distance,
+    edge_ids,
     encode_poset_map,
     face_encoding,
+    face_rows,
     identity_encoding,
+    swap_rows,
     sym_encoding,
     vertex_ids,
+    word_along,
 )
 
 
@@ -144,3 +149,86 @@ def test_encodings_are_injective_maps():
         for u, v in itertools.combinations(cube_vertices(2), 2):
             if distance(u, v) == 1:
                 assert distance(enc.apply(u), enc.apply(v)) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1, 1, (1.0,)),
+        (1, 1, (True,)),
+        (1, 1, ("1",)),
+        (1, 2, (1, 0)),
+        (1, 2, (1, None)),
+        (-1, 0, ()),
+        (0, -1, ()),
+        (True, 1, (1,)),
+        (1.0, 1, (1,)),
+    ],
+)
+def test_constructor_rejects_what_is_not_a_cube_map(args):
+    with pytest.raises(NotCubeMapError):
+        CubeEncoding(*args)
+
+
+@pytest.mark.parametrize(
+    "make,args",
+    [
+        (face_encoding, (1, 7, 1)),
+        (face_encoding, (1, -1, 2)),
+        (face_encoding, (1, True, 1)),
+        (face_encoding, (1, 1.0, 1)),
+        (face_encoding, (1.0, 0, 1)),
+        (face_encoding, (0, 0, 1)),
+        (sym_encoding, (1.0, 2)),
+        (sym_encoding, (True, 2)),
+        (sym_encoding, (2, 2)),
+    ],
+)
+def test_faces_and_swaps_reject_bad_arguments(make, args):
+    face_encoding(1, 1, 1), sym_encoding(1, 2)  # cached values must not answer for these
+    with pytest.raises(NotCubeMapError):
+        make(*args)
+
+
+def test_compose_matches_the_map_by_map_oracle_and_returns_rows():
+    for p in range(5):
+        for n in range(p + 1):
+            for m in range(n + 1):
+                rows = {id(enc) for enc in all_encodings(m, p)}
+                for f in all_encodings(m, n):
+                    for g in all_encodings(n, p):
+                        got = compose(f, g)
+                        assert got == map_compose(f, g)
+                        assert id(got) in rows
+
+
+def test_tables_match_the_map_by_map_oracle():
+    for n in range(5):
+        letters = tuple(f"x{j}" for j in range(1, n + 1))
+        assert identity_encoding(n) is all_encodings(n, n)[0]
+        for m in range(n + 1):
+            for k, enc in enumerate(all_encodings(m, n)):
+                if m:
+                    faces = [all_encodings(m - 1, n)[r] for r in face_rows(m, n)[k]]
+                    assert faces == [
+                        map_compose(face_encoding(i, alpha, m), enc)
+                        for i in range(1, m + 1)
+                        for alpha in (0, 1)
+                    ]
+                swaps = [all_encodings(m, n)[r] for r in swap_rows(m, n)[k]]
+                assert swaps == [map_compose(sym_encoding(i, m), enc) for i in range(1, m)]
+                assert vertex_ids(enc) == map_vertex_ids(enc)
+                edges = [all_encodings(1, n)[r] for r in edge_ids(enc)]
+                assert edges == [map_compose(g, enc) for g in all_encodings(1, m)]
+                assert word_along(letters, enc) == tuple(
+                    letters[enc.fbar_inv(i) - 1] for i in range(1, m + 1)
+                )
+
+
+def test_faces_and_swaps_are_rows():
+    for n in range(1, 5):
+        rows = {id(enc) for enc in all_encodings(n - 1, n) + all_encodings(n, n)}
+        for i in range(1, n + 1):
+            assert id(face_encoding(i, 0, n)) in rows and id(face_encoding(i, 1, n)) in rows
+            if i < n:
+                assert id(sym_encoding(i, n)) in rows

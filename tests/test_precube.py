@@ -1,6 +1,7 @@
 """Labelled symmetric precubical sets: shapes, gluings, unique fillers."""
 
 import itertools
+import json
 
 import pytest
 
@@ -20,8 +21,10 @@ from hdts import (
     standard_cube,
     truncate,
 )
+from corpus import map_standard_cube, pattern_words
 from hdts.fixtures import double_square, not_strong_complex
 from hdts.precube import identity_precube_map
+from hdts.serialize import precube_to_json
 
 
 def cell_counts(K):
@@ -49,6 +52,15 @@ def test_standard_cube_counts(word, counts):
     K = standard_cube(word)
     check_relations(K)
     assert cell_counts(K) == counts
+
+
+def test_standard_cube_matches_the_map_by_map_oracle():
+    """Every word up to 4 letters over a, b, tau, and one 5-letter word per
+    pattern of repeated letters."""
+    words = [w for n in range(5) for w in itertools.product(("a", "b", "tau"), repeat=n)]
+    for word in words + pattern_words(5):
+        got = json.dumps(precube_to_json(standard_cube(word)), sort_keys=True)
+        assert got == json.dumps(precube_to_json(map_standard_cube(word)), sort_keys=True)
 
 
 def test_standard_cube_square_labels():
