@@ -44,7 +44,6 @@ from .encoding import (
     NotCubeMapError,
     all_encodings,
     compose,
-    encode_poset_map,
     face_encoding,
     identity_encoding,
     sym_encoding,
@@ -79,7 +78,6 @@ from .realize import (
     realize_cube_map,
     realize_map,
     unrealize_cube_map,
-    used_actions,
 )
 from .sync import cosk_directed, fibered_product, tensor_sync
 from .ccs import CcsSyntaxError, ProcessTerm, compile_text, parse, semantics, term_str

@@ -520,6 +520,7 @@ def check_morphism(f: HdtsMorphism) -> None:
 
 
 def identity_morphism(system: WeakHDTS) -> HdtsMorphism:
+    """The identity morphism of ``system``."""
     return HdtsMorphism(
         system, system, {s: s for s in system.states}, {a: a for a in system.action_ids}
     )
@@ -535,15 +536,6 @@ def compose_morphisms(f: HdtsMorphism, g: HdtsMorphism) -> HdtsMorphism:
         {s: g.state_map[v] for s, v in f.state_map.items()},
         {a: g.action_map[v] for a, v in f.action_map.items()},
     )
-
-
-def morphism_is_iso(f: HdtsMorphism) -> bool:
-    if len(set(f.state_map.values())) != len(f.dst.states):
-        return False
-    if len(set(f.action_map.values())) != len(f.dst.actions):
-        return False
-    image = {f.map_transition(t) for t in f.src.transitions}
-    return image == set(f.dst.transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +619,7 @@ def colimit(objects: Sequence[WeakHDTS], arrows: Sequence[tuple] = ()) -> HdtsCo
 
 
 def disjoint_union(*objects: WeakHDTS) -> WeakHDTS:
+    """The coproduct of systems: their colimit with no arrows."""
     return colimit(list(objects)).system
 
 

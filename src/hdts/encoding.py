@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 NEG = float("-inf")
 POS = float("inf")
@@ -206,45 +206,3 @@ def swap_rows(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Per row ``enc`` of [m] -> [n], the row numbers of the swaps
     ``compose(sym_encoding(i, m), enc)``, i = 1..m-1."""
     return _precomposites([sym_encoding(i, m) for i in range(1, m)], m, m, n)
-
-
-def encode_poset_map(m: int, n: int, vertex_map: Mapping[tuple, tuple]) -> CubeEncoding:
-    """Recover the unique encoding from an explicit vertex table.
-
-    Each target coordinate must be constant 0, constant 1, or the
-    projection onto one source coordinate, with every source coordinate
-    projected exactly once; anything else is rejected with the first
-    offending coordinate named.
-    """
-    verts = cube_vertices(m)
-    for eps in verts:
-        if eps not in vertex_map:
-            raise NotCubeMapError(f"vertex table misses {eps}")
-        if len(vertex_map[eps]) != n:
-            raise NotCubeMapError(f"image of {eps} has the wrong dimension")
-    fhat = []
-    used = []
-    for j in range(1, n + 1):
-        column = [vertex_map[eps][j - 1] for eps in verts]
-        if all(v == 0 for v in column):
-            fhat.append(NEG)
-            continue
-        if all(v == 1 for v in column):
-            fhat.append(POS)
-            continue
-        hit = [
-            k
-            for k in range(1, m + 1)
-            if all(vertex_map[eps][j - 1] == eps[k - 1] for eps in verts)
-        ]
-        if not hit:
-            raise NotCubeMapError(
-                f"target coordinate {j} is neither constant nor a projection"
-            )
-        fhat.append(hit[0])
-        used.append(hit[0])
-    if sorted(used) != list(range(1, m + 1)):
-        raise NotCubeMapError(
-            "projections do not use each source coordinate exactly once"
-        )
-    return CubeEncoding(m, n, tuple(fhat))

@@ -207,36 +207,9 @@ class Shell:
     def key(self):
         return tuple(sorted(self.faces.items()))
 
-    def word(self, K: PrecubicalSet) -> tuple[str, ...]:
-        """The induced label word (determined by faces for p >= 2)."""
-        if self.p < 2:
-            raise PrecubeError("shells of dimension < 2 do not determine a word")
-        rest = K.label(self.p - 1, self.faces[(1, 0)])
-        first = K.label(self.p - 1, self.faces[(2, 0)])[0]
-        return (first,) + rest
-
 
 def shell_of(K: PrecubicalSet, n: int, cell: int) -> Shell:
     return Shell(n, {(i, a): K.face(n, cell, i, a) for i in range(1, n + 1) for a in (0, 1)})
-
-
-def check_shell(K: PrecubicalSet, shell: Shell) -> None:
-    """Raise unless the assigned faces glue like the boundary of a cube."""
-    p = shell.p
-    for i in range(1, p + 1):
-        for alpha in (0, 1):
-            if shell.faces.get((i, alpha)) not in K.ncells(p - 1):
-                raise PrecubeError(f"shell misses face ({i},{alpha})")
-    for i in range(1, p + 1):
-        for j in range(i + 1, p + 1):
-            for alpha in (0, 1):
-                for beta in (0, 1):
-                    left = K.face(p - 1, shell.faces[(j, beta)], i, alpha)
-                    right = K.face(p - 1, shell.faces[(i, alpha)], j - 1, beta)
-                    if left != right:
-                        raise PrecubeError(
-                            f"shell faces ({i},{alpha}) and ({j},{beta}) do not glue"
-                        )
 
 
 # ---------------------------------------------------------------------------

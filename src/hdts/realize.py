@@ -210,11 +210,6 @@ def in_hda_hdts(K: PrecubicalSet) -> bool:
     return report.csa1 and report.uisa
 
 
-def used_actions(X: WeakHDTS) -> frozenset[int]:
-    """Actions appearing in some one-step transition."""
-    return frozenset(t.acts[0] for t in X.transitions if t.arity == 1)
-
-
 # ---------------------------------------------------------------------------
 # cubification
 

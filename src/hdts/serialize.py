@@ -40,6 +40,7 @@ def dumps(doc) -> str:
 
 
 def alphabet_to_json(cfg: Alphabet) -> dict:
+    """The alphabet as JSON: the inverse of ``alphabet_from_json``."""
     pairs = sorted({tuple(sorted((a, b))) for a, b in cfg.pairs})
     return {
         "labels": sorted(cfg.labels),

@@ -12,36 +12,38 @@ directed coskeleton of the fibered product of the skeletons of the
 cubes [dim c] and [dim d]), glued along face inclusions and swap
 isomorphisms.
 
-That colimit is built without gluing.  A cell of E(c, d) is *interior*
-when its vertices vary in every coordinate of both cubes.  A face
-inclusion lands only in the boundary of its target, and each boundary
-cell is the image of exactly one interior cell of the entry of the face
-pair its support names.  A swap isomorphism maps interior onto
-interior.  So every cell of the colimit comes from an interior cell of
-a pair (c, d) with c least in its swap orbit and d least in its swap
-orbit, and two such cells meet exactly when an element of the
-stabilizer of (c, d) maps one to the other.  The output has one cell
-per such class, numbered per dimension by (c, d) and then by the
-class's least entry cell: this is the class's least (pair, entry cell)
-tag, the numbering the colimit gives.
+That colimit is built without gluing, and its pair entries without a
+search.  A cell of E(c, d) is *interior* when its vertices vary in
+every coordinate of both cubes.  An interior n-cell is a direction
+table: it moves each coordinate of the two cubes along one of its n
+directions, and each direction moves one coordinate of one cube, or one
+coordinate of each cube whose labels are partners (a silent step).  Its
+face (i, alpha) fixes the coordinates of direction i at alpha: that is
+an interior cell of the entry of a face pair, carried in by the face
+inclusion, and every boundary cell of E(c, d) arises so exactly once.
+A swap exchanges two directions, interior onto interior.  So every cell
+of the colimit comes from an interior cell of a pair (c, d) with c
+least in its swap orbit and d least in its swap orbit, and two such
+cells meet exactly when an element of the stabilizer of (c, d) maps one
+to the other.  The output has one cell per such class, numbered per
+dimension by (c, d) and then by the class's least entry cell: this is
+the class's least (pair, entry cell) tag, the numbering the colimit
+gives.
 
-A pair entry (the coskeleton of the fibered product of two cube
-skeletons) depends on its two label words only through their shape:
+A pair entry depends on its two label words only through their shape:
 the word lengths, which letters are equal, which are silent and which
 are partners under the involution.  Pair entries are therefore built
 once per shape, over words renamed in order of first occurrence, and
-cached for the life of the process, together with their interiors and
-boundary preimages; each product relabels its cells back to its own
-words.  The cell maps between pair entries read no labels, are checked
-once with ``check_precube_map`` when built, and the permutations that
-carry faces to orbit representatives are cached by the two shapes and
-the two cube maps.
+cached for the life of the process; each product relabels its cells
+back to its own words.  The cell maps between pair entries along
+permutations of the two cubes reindex direction tables, read no labels,
+and are cached by the two shapes and the two permutations.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -60,15 +62,7 @@ from .encoding import (
     vertex_ids,
     word_along,
 )
-from .precube import (
-    EMPTY_PRECUBE,
-    PrecubeError,
-    PrecubeMap,
-    PrecubicalSet,
-    check_precube_map,
-    standard_cube,
-    truncate,
-)
+from .precube import EMPTY_PRECUBE, PrecubeError, PrecubicalSet
 
 # ---------------------------------------------------------------------------
 # fibered product
@@ -259,20 +253,28 @@ def cosk_directed(K: PrecubicalSet, vertex_iso: Mapping[int, tuple]) -> Precubic
 
 @dataclass(frozen=True)
 class _PairEntry:
-    """The pair entry of a shape, split into interior and boundary.
+    """The interior cells of a shape's pair entry, as direction tables.
 
-    A cell is interior when its vertices vary in every coordinate of
-    both cubes.  The coordinates a boundary cell's vertices vary in (its
-    support) name an order-preserving face of each cube; ``preimage``
-    sends the cell to these two face maps and to the one interior cell
-    of their entry that the face inclusion carries onto it.
+    An interior n-cell of the entry of words u and v, of lengths k and
+    l, is a table that gives each of the k + l coordinates (those of u,
+    then those of v) a direction in 1..n.  The fiber of each direction
+    is one coordinate of u, one coordinate of v, or a partner pair: a
+    coordinate i of u and a coordinate j of v with bar(u_i) = v_j,
+    labelled silent.  Per dimension, a cell is its index in ``tables``,
+    which lists the tables in the order of the coskeleton's cell ids.
+    Per cell, ``labels`` has a letter per direction, ``swaps`` has the
+    cell with directions i and i + 1 exchanged (i = 1..n-1), and
+    ``faces`` has, for i = 1..n and alpha = 0, 1, the order-preserving
+    faces of [k] and [l] that fix the fiber of direction i at alpha,
+    and the cell with direction i dropped in the entry of the face
+    shape.
     """
 
-    words: tuple[tuple, tuple]
-    fib: _Fibered
-    cosk: _Cosk
-    interior: Mapping[int, tuple[int, ...]]  # dim -> interior cells, ascending
-    preimage: Mapping[int, tuple]  # dim -> per cell: None or (face map, face map, cell)
+    tables: Mapping[int, tuple[tuple[int, ...], ...]]  # dim -> tables, in cell order
+    index: Mapping[int, Mapping[tuple[int, ...], int]]  # dim -> table -> cell
+    labels: Mapping[int, tuple[tuple[str, ...], ...]]
+    swaps: Mapping[int, tuple[tuple[int, ...], ...]]
+    faces: Mapping[int, tuple[tuple[tuple[CubeEncoding, CubeEncoding, int], ...], ...]]
 
 
 #: The silent letter of a renamed word pair; other letters become "0", "1", ...
@@ -285,9 +287,9 @@ def _shape(word_k: tuple, word_l: tuple, cfg: Alphabet) -> tuple[tuple, dict[str
     Every letter is checked against ``cfg``, then renamed in order of
     first occurrence in ``word_k + word_l``, the silent label to
     ``_TAU``.  The key is the two renamed words and the involution
-    restricted to the letters present: all that the fibered product
-    and the directed coskeleton read of the labels.  Renaming is
-    canonical, so renamed subwords key the same shape as the subwords.
+    restricted to the letters present: all that a pair entry reads of
+    the labels.  Renaming is canonical, so renamed subwords key the
+    same shape as the subwords.
     """
     rename = {cfg.tau: _TAU}
     for x in word_k + word_l:
@@ -304,13 +306,13 @@ def _shape(word_k: tuple, word_l: tuple, cfg: Alphabet) -> tuple[tuple, dict[str
     return key, {c: x for x, c in rename.items()}
 
 
-def _support_face(lo: tuple, hi: tuple) -> CubeEncoding:
-    """The order-preserving face onto the coordinates where ``lo`` and
-    ``hi`` differ, reading the others as constants."""
-    enc = identity_encoding(len(lo))
-    for j in range(len(lo), 0, -1):
-        if lo[j - 1] == hi[j - 1]:
-            enc = compose(face_encoding(j, lo[j - 1], enc.m), enc)
+@lru_cache(maxsize=None)
+def _fixing(n: int, coords: tuple[int, ...], alpha: int) -> CubeEncoding:
+    """The order-preserving face of [n] that fixes ``coords`` (ascending,
+    from 0) at ``alpha``."""
+    enc = identity_encoding(n)
+    for c in reversed(coords):
+        enc = compose(face_encoding(c + 1, alpha, enc.m), enc)
     return enc
 
 
@@ -324,120 +326,99 @@ def _restrict_cell(Z: PrecubicalSet, cell: tuple[int, int], face: CubeEncoding) 
     return n, c
 
 
+def _moves(word_k: tuple, word_l: tuple, cfg: Alphabet) -> list[tuple[tuple[int, ...], ...]]:
+    """Every split of the coordinates of ``word_k + word_l`` into moves,
+    the fibers of the directions of a cell: single coordinates, and
+    partner pairs (i, k + j) with k = len(word_k)."""
+    k, out = len(word_k), []
+
+    def grow(i, free, moves):
+        if i == k:
+            out.append(moves + tuple((k + j,) for j in free))
+            return
+        grow(i + 1, free, moves + ((i,),))
+        for j in free:
+            if cfg.bar(word_k[i]) == word_l[j]:
+                grow(i + 1, tuple(x for x in free if x != j), moves + ((i, k + j),))
+
+    grow(0, tuple(range(len(word_l))), ())
+    return out
+
+
+def _swap(t: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """A direction table with directions i and i + 1 exchanged."""
+    return tuple(i + 1 if d == i else i if d == i + 1 else d for d in t)
+
+
 @lru_cache(maxsize=1024)
 def _shape_entry(shape: tuple) -> _PairEntry:
-    """Coskeleton of the fibered product of two cube skeletons, over the
-    renamed words of ``shape``, with its interior and boundary preimages.
+    """The interior cells of the pair entry of ``shape`` (see ``_PairEntry``).
 
-    Raises ``PrecubeError`` unless the face inclusions carry the
-    interior cells of the face pairs' entries one to one onto the
-    boundary, which is what lets ``tensor_sync`` emit interiors only.
+    They are the interior cells of the directed coskeleton of the
+    fibered product of the skeletons of the two cubes.  The coskeleton
+    numbers its n-cells by the corner bits of their vertices; for a
+    table these are the indicators of directions n, n - 1, ..., 1 in
+    turn, which is the sort key here.
     """
     word_k, word_l, pairs = shape
     cfg = Alphabet(frozenset(word_k + word_l + (_TAU,)), _TAU, pairs)
-    fib = _fibered(truncate(standard_cube(word_k), 1), truncate(standard_cube(word_l), 1), cfg)
-    m = len(word_k)
-    kbits, lbits = cube_vertices(m), cube_vertices(len(word_l))
-    iso = {vid: kbits[kv] + lbits[lv] for (kv, lv), vid in fib.vertex_id.items()}
-    cosk = _cosk(fib.precube, iso)
-    pc = cosk.precube
+    k, letters = len(word_k), word_k + word_l
+    found: dict[int, list] = {}
+    for moves in _moves(word_k, word_l, cfg):
+        n = len(moves)
+        word = [_TAU if len(move) == 2 else letters[move[0]] for move in moves]
+        for order in itertools.permutations(range(1, n + 1)):
+            table = [0] * len(letters)
+            for move, d in zip(moves, order):
+                for c in move:
+                    table[c] = d
+            label = tuple(w for _, w in sorted(zip(order, word)))
+            found.setdefault(n, []).append((tuple(table), label))
 
-    def corners(n, c):
-        """The first and the last vertex of cell (n, c), as bits."""
-        if n == 0:
-            return iso[c], iso[c]
-        if n == 1:
-            return iso[pc.face(1, c, 1, 0)], iso[pc.face(1, c, 1, 1)]
-        vkey = cosk.contents[(n, c)][0]
-        return vkey[0], vkey[-1]
-
-    interior: dict[int, tuple[int, ...]] = {}
-    by_support: dict[tuple, list[tuple[int, int]]] = {}
-    for n in pc.dims():
-        inner = []
-        for c in pc.ncells(n):
-            lo, hi = corners(n, c)
-            faces = _support_face(lo[:m], hi[:m]), _support_face(lo[m:], hi[m:])
-            if faces[0].is_identity and faces[1].is_identity:
-                inner.append(c)
-            else:
-                by_support.setdefault(faces, []).append((n, c))
-        interior[n] = tuple(inner)
-    preimage: dict[int, list] = {n: [None] * len(pc.ncells(n)) for n in pc.dims()}
-    entry = _PairEntry((word_k, word_l), fib, cosk, interior, preimage)
-    for (enc_k, enc_l), cells in by_support.items():
-        face_words = word_along(word_k, enc_k), word_along(word_l, enc_l)
-        face = _shape_entry(_shape(*face_words, cfg)[0])
-        cell_map = _entry_map(face, entry, enc_k, enc_l)
-        images = []
-        for n, zs in face.interior.items():
-            for z in zs:
-                y = cell_map[(n, z)]
-                images.append((n, y))
-                preimage[n][y] = (enc_k, enc_l, z)
-        if sorted(images) != cells:
-            raise PrecubeError(
-                f"the boundary of pair entry {shape} along {enc_k.fhat}, {enc_l.fhat} "
-                "is not the one image of its face's interior"
-            )
-    for n, row in preimage.items():
-        preimage[n] = tuple(row)
-    return entry
-
-
-def _entry_map(src: _PairEntry, dst: _PairEntry, enc_k: CubeEncoding, enc_l: CubeEncoding) -> dict:
-    """Cell map between pair entries induced by maps of the two cubes,
-    checked with ``check_precube_map``.
-
-    The map reads encodings, fibered tags and coskeleton contents; the
-    label words enter only the check, through the letters ``enc_k`` and
-    ``enc_l`` match up.
-    """
-    mk = enc_k.m
-    kvert, lvert = vertex_ids(enc_k), vertex_ids(enc_l)
-    kedge, ledge = edge_ids(enc_k), edge_ids(enc_l)
-
-    def edge(tag):
-        kind, x, y = tag
-        if kind == "k":
-            return dst.fib.edge_id[("k", kedge[x], lvert[y])]
-        if kind == "l":
-            return dst.fib.edge_id[("l", kvert[x], ledge[y])]
-        return dst.fib.edge_id[("s", kedge[x], ledge[y])]
-
-    def vertex_bits(bits):
-        return enc_k.apply(bits[:mk]) + enc_l.apply(bits[mk:])
-
-    cell_map: dict[tuple[int, int], int] = {}
-    src_pc = src.cosk.precube
-    for v in src_pc.vertices:
-        kv, lv = src.fib.vertex_pair[v]
-        cell_map[(0, v)] = dst.fib.vertex_id[(kvert[kv], lvert[lv])]
-    for e in src_pc.ncells(1):
-        cell_map[(1, e)] = edge(src.fib.edge_tag[e])
-    for n in src_pc.dims():
-        if n < 2:
-            continue
-        for c in src_pc.ncells(n):
-            vkey, edges = src.cosk.contents[(n, c)]
-            vkey2 = tuple(vertex_bits(b) for b in vkey)
-            edges2 = tuple(edge(src.fib.edge_tag[e]) for e in edges)
-            cell_map[(n, c)] = dst.cosk.index[(n, (vkey2, edges2))]
-
-    letters = {_TAU: _TAU}
-    for word, enc, image in zip(src.words, (enc_k, enc_l), dst.words):
-        letters.update(zip(word, word_along(image, enc)))
-    labels = {cell: tuple(letters[x] for x in word) for cell, word in src_pc.labels.items()}
-    check_precube_map(PrecubeMap(replace(src_pc, labels=labels), dst.cosk.precube, cell_map))
-    return cell_map
+    tables, index, labels, swaps, faces = {}, {}, {}, {}, {}
+    face_entries: dict[tuple, _PairEntry] = {}
+    for n in sorted(found):
+        cells = sorted(
+            found[n], key=lambda cell: [[d == e for d in cell[0]] for e in range(n, 0, -1)]
+        )
+        tables[n] = tuple(t for t, _ in cells)
+        labels[n] = tuple(w for _, w in cells)
+        index[n] = {t: x for x, t in enumerate(tables[n])}
+        swaps[n] = tuple(tuple(index[n][_swap(t, i)] for i in range(1, n)) for t in tables[n])
+        rows = []
+        for t in tables[n]:
+            row = []
+            for i in range(1, n + 1):
+                fixed = tuple(c for c, d in enumerate(t) if d == i)
+                fk = tuple(c for c in fixed if c < k)
+                fl = tuple(c - k for c in fixed if c >= k)
+                if fixed not in face_entries:
+                    sub_k = word_along(word_k, _fixing(k, fk, 0))
+                    sub_l = word_along(word_l, _fixing(len(word_l), fl, 0))
+                    face_entries[fixed] = _shape_entry(_shape(sub_k, sub_l, cfg)[0])
+                z = face_entries[fixed].index[n - 1][tuple(d - (d > i) for d in t if d != i)]
+                for alpha in (0, 1):
+                    row.append((_fixing(k, fk, alpha), _fixing(len(word_l), fl, alpha), z))
+            rows.append(tuple(row))
+        faces[n] = tuple(rows)
+    return _PairEntry(tables, index, labels, swaps, faces)
 
 
 @lru_cache(maxsize=8192)
 def _pair_map(src_shape: tuple, dst_shape: tuple, enc_k: CubeEncoding, enc_l: CubeEncoding) -> dict:
-    """``_entry_map`` between the entries of two shapes, built and checked
-    once; it serves every word pair of the two shapes.  Callers share
-    the returned dict and must not change it."""
-    return _entry_map(_shape_entry(src_shape), _shape_entry(dst_shape), enc_k, enc_l)
+    """The cell map between the entries of two shapes along permutations
+    ``enc_k`` and ``enc_l`` of the two cubes, as a reindexing of tables:
+    coordinate r of the image reads the direction of source coordinate
+    ``fhat[r]``, for ``fhat`` the two coordinate tables side by side.
+    It serves every word pair of the two shapes.  Callers share the
+    returned dict and must not change it."""
+    dst = _shape_entry(dst_shape)
+    fhat = enc_k.fhat + tuple(enc_k.m + c for c in enc_l.fhat)
+    return {
+        (n, x): dst.index[n][tuple(t[c - 1] for c in fhat)]
+        for n, ts in _shape_entry(src_shape).tables.items()
+        for x, t in enumerate(ts)
+    }
 
 
 def _orbits(Z: PrecubicalSet):
@@ -478,15 +459,16 @@ def _orbits(Z: PrecubicalSet):
 def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> PrecubicalSet:
     """Synchronized tensor product of two labelled symmetric precubical sets.
 
-    Its n-cells are the interior n-cells of the pair entries E(c, d),
-    for c least in its swap orbit in ``K`` and d least in its swap orbit
-    in ``L``, taken up to the stabilizer of (c, d).  They are numbered
-    per dimension by (dim c, c, dim d, d), then by the least entry cell
-    of the class, which is the numbering of the colimit of all entries
-    (see the module docstring).  A cell's swaps are its swaps in the
-    entry.  A face in the entry's boundary is carried to its preimage,
-    then through ``_pair_map`` along the permutations from that face
-    pair to the least pair of its orbits.  When both factors carry an
+    Its n-cells are the interior n-cells (direction tables) of the pair
+    entries E(c, d), for c least in its swap orbit in ``K`` and d least
+    in its swap orbit in ``L``, taken up to the stabilizer of (c, d).
+    They are numbered per dimension by (dim c, c, dim d, d), then by the
+    least table of the class, which is the numbering of the colimit of
+    all entries (see the module docstring).  A cell's swaps are its
+    swaps in the entry.  Face (i, alpha) is a table of the entry of the
+    face pair that fixes the fiber of direction i at alpha; it is
+    carried through ``_pair_map`` along the permutations from that pair
+    to the least pair of its orbits.  When both factors carry an
     initial vertex or decorations, the result is decorated pairwise.
     """
     if not K.vertices or not L.vertices:
@@ -511,9 +493,9 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
             gens = [_pair_map(shape, shape, s, identity_encoding(lo[0])) for s in kstab[ko]]
             gens += [_pair_map(shape, shape, identity_encoding(ko[0]), t) for t in lstab[lo]]
             here = ids[(ko, lo)] = {}
-            for p, xs in entry.interior.items():
+            for p, xs in entry.tables.items():
                 out = classes.setdefault(p, [])
-                for x in xs:
+                for x in range(len(xs)):
                     if (p, x) in here:
                         continue
                     here[(p, x)] = len(out)
@@ -525,11 +507,10 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
                                 orbit.append(g[(p, y)])
                     out.append((ko, lo, entry, letters, x))
 
-    def cell_id(ko, lo, entry, n, y):
-        """The output cell of cell (n, y) of the entry of (ko, lo)."""
-        if (n, y) in ids[(ko, lo)]:
-            return ids[(ko, lo)][(n, y)]
-        enc_k, enc_l, z = entry.preimage[n][y]
+    def cell_id(ko, lo, n, face):
+        """The output cell of a face (face map, face map, cell) of an
+        interior cell of the entry of (ko, lo)."""
+        enc_k, enc_l, z = face
         kc, lc = _restrict_cell(K, ko, enc_k), _restrict_cell(L, lo, enc_l)
         (kr, kpi), (lr, lpi) = krep[kc], lrep[lc]
         kr, lr = (kc[0], kr), (lc[0], lr)
@@ -540,14 +521,12 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
     faces, syms, labels = {}, {}, {}
     for p, out in classes.items():
         for k, (ko, lo, entry, letters, x) in enumerate(out):
-            pc = entry.cosk.precube
             if p:
-                labels[(p, k)] = tuple(letters[a] for a in pc.label(p, x))
-            for i in range(1, p + 1):
-                for alpha in (0, 1):
-                    faces[(p, k, i, alpha)] = cell_id(ko, lo, entry, p - 1, pc.face(p, x, i, alpha))
-            for i in range(1, p):
-                syms[(p, k, i)] = ids[(ko, lo)][(p, pc.sym(p, x, i))]
+                labels[(p, k)] = tuple(letters[a] for a in entry.labels[p][x])
+            for j, face in enumerate(entry.faces[p][x]):
+                faces[(p, k, j // 2 + 1, j % 2)] = cell_id(ko, lo, p - 1, face)
+            for i, s in enumerate(entry.swaps[p][x], 1):
+                syms[(p, k, i)] = ids[(ko, lo)][(p, s)]
     cells = {p: tuple(range(len(out))) for p, out in classes.items()}
 
     def pair_vertex(u, v) -> int:

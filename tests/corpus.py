@@ -46,7 +46,7 @@ from hdts.encoding import (
     face_encoding,
     sym_encoding,
 )
-from hdts.precube import make_precube
+from hdts.precube import PrecubeError, Shell, make_precube
 from hdts.realize import Cubification, realize, realize_cube_map
 
 ALPHA = DEFAULT_ALPHABET
@@ -399,6 +399,94 @@ def distance(u, v) -> int:
     if len(u) != len(v):
         raise ValueError("vertices of different cubes")
     return sum(abs(a - b) for a, b in zip(u, v))
+
+
+# ---------------------------------------------------------------------------
+# helpers on cube maps, shells, systems and morphisms (no caller in hdts)
+
+
+def encode_poset_map(m: int, n: int, vertex_map) -> CubeEncoding:
+    """Recover the unique encoding from an explicit vertex table.
+
+    Each target coordinate must be constant 0, constant 1, or the
+    projection onto one source coordinate, with every source coordinate
+    projected exactly once; anything else is rejected with the first
+    offending coordinate named.
+    """
+    verts = cube_vertices(m)
+    for eps in verts:
+        if eps not in vertex_map:
+            raise NotCubeMapError(f"vertex table misses {eps}")
+        if len(vertex_map[eps]) != n:
+            raise NotCubeMapError(f"image of {eps} has the wrong dimension")
+    fhat = []
+    used = []
+    for j in range(1, n + 1):
+        column = [vertex_map[eps][j - 1] for eps in verts]
+        if all(v == 0 for v in column):
+            fhat.append(NEG)
+            continue
+        if all(v == 1 for v in column):
+            fhat.append(POS)
+            continue
+        hit = [
+            k
+            for k in range(1, m + 1)
+            if all(vertex_map[eps][j - 1] == eps[k - 1] for eps in verts)
+        ]
+        if not hit:
+            raise NotCubeMapError(
+                f"target coordinate {j} is neither constant nor a projection"
+            )
+        fhat.append(hit[0])
+        used.append(hit[0])
+    if sorted(used) != list(range(1, m + 1)):
+        raise NotCubeMapError(
+            "projections do not use each source coordinate exactly once"
+        )
+    return CubeEncoding(m, n, tuple(fhat))
+
+
+def shell_word(shell: Shell, K) -> tuple[str, ...]:
+    """The label word a shell induces (determined by faces for p >= 2)."""
+    if shell.p < 2:
+        raise PrecubeError("shells of dimension < 2 do not determine a word")
+    rest = K.label(shell.p - 1, shell.faces[(1, 0)])
+    first = K.label(shell.p - 1, shell.faces[(2, 0)])[0]
+    return (first,) + rest
+
+
+def check_shell(K, shell: Shell) -> None:
+    """Raise unless the assigned faces glue like the boundary of a cube."""
+    p = shell.p
+    for i in range(1, p + 1):
+        for alpha in (0, 1):
+            if shell.faces.get((i, alpha)) not in K.ncells(p - 1):
+                raise PrecubeError(f"shell misses face ({i},{alpha})")
+    for i in range(1, p + 1):
+        for j in range(i + 1, p + 1):
+            for alpha in (0, 1):
+                for beta in (0, 1):
+                    left = K.face(p - 1, shell.faces[(j, beta)], i, alpha)
+                    right = K.face(p - 1, shell.faces[(i, alpha)], j - 1, beta)
+                    if left != right:
+                        raise PrecubeError(
+                            f"shell faces ({i},{alpha}) and ({j},{beta}) do not glue"
+                        )
+
+
+def used_actions(X: WeakHDTS) -> frozenset[int]:
+    """Actions appearing in some one-step transition."""
+    return frozenset(t.acts[0] for t in X.transitions if t.arity == 1)
+
+
+def morphism_is_iso(f: HdtsMorphism) -> bool:
+    if len(set(f.state_map.values())) != len(f.dst.states):
+        return False
+    if len(set(f.action_map.values())) != len(f.dst.actions):
+        return False
+    image = {f.map_transition(t) for t in f.src.transitions}
+    return image == set(f.dst.transitions)
 
 
 # ---------------------------------------------------------------------------

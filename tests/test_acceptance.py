@@ -8,7 +8,14 @@ zero-counterexample sweeps); nothing is tolerance-calibrated.
 import itertools
 from contextlib import contextmanager
 
-from corpus import ALPHA, CCS_CORPUS, random_cube_gluing, random_mixed_corpus, sync_edges
+from corpus import (
+    ALPHA,
+    CCS_CORPUS,
+    morphism_is_iso,
+    random_cube_gluing,
+    random_mixed_corpus,
+    sync_edges,
+)
 from hdts import (
     boundary,
     compile_text,
@@ -35,7 +42,6 @@ from hdts import (
     unrealize_cube_map,
     validate,
 )
-from hdts.core import morphism_is_iso
 from hdts.encoding import all_encodings
 from hdts.fixtures import double_square, glued_span, not_strong_complex
 

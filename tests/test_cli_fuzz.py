@@ -1,11 +1,13 @@
-"""The command-line driver on generated documents, in process.
+"""The command-line driver on generated documents and terms, in process.
 
 Systems are drawn close to their schema, with any field liable to be
 replaced by arbitrary JSON.  Other documents start from a valid system,
 precubical set or alphabet and have a few nodes replaced, dropped, or
-moved to a key that looks like an integer but is not.  Whatever the input,
-``check``, ``realize``, ``cubify`` and ``export`` must exit 0, 1 or 2
-and raise nothing.
+moved to a key that looks like an integer but is not.  Process terms
+are guarded terms over a, abar, b and tau, some with a few characters
+or tokens dropped or inserted.  Whatever the input, ``check``,
+``realize``, ``cubify``, ``export`` and ``ccs compile`` must exit 0, 1
+or 2 and raise nothing.
 """
 
 import contextlib
@@ -123,4 +125,76 @@ def test_cli_exits_0_1_or_2_and_raises_nothing(tmp_path, doc, alphabet, command)
         argv.append(str(alphabet_path))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
+    assert code in (0, 1, 2)
+
+
+@st.composite
+def terms(draw, variables=(), depth=3, guarded=False):
+    """A term over ``LABELS`` and ``variables``; unless ``guarded``, a
+    variable occurs only under a prefix."""
+    kinds = ["nil", "prefix"] + (["var", "var"] if guarded and variables else [])
+    if depth:
+        kinds += ["prefix", "sum", "par", "nu", "rec"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "nil":
+        return "nil"
+    if kind == "var":
+        return draw(st.sampled_from(variables))
+    if kind == "prefix":
+        body = draw(terms(variables, max(depth - 1, 0), True))
+        return f"{draw(st.sampled_from(LABELS))}.{body}"
+    if kind in ("sum", "par"):
+        left = draw(terms(variables, depth - 1, guarded))
+        right = draw(terms(variables, depth - 1, guarded))
+        return f"({left} {'+' if kind == 'sum' else '||'} {right})"
+    if kind == "nu":
+        body = draw(terms(variables, depth - 1, guarded))
+        return f"(nu {draw(st.sampled_from(['a', 'b']))})({body})"
+    var = f"x{len(variables)}"
+    body = draw(terms(variables + (var,), depth - 1, draw(st.booleans())))
+    if var in body and not body.startswith(tuple(LABELS)):
+        body = f"{draw(st.sampled_from(LABELS))}.{body}"
+    return f"rec({var}) ({body})"
+
+
+TOKENS = ["(", ")", ".", "+", "||", "nil", "rec(x0)", "x0", "a", "abar", "tau", "(nu a)", "-", "\u00b2", " "]
+
+
+@st.composite
+def mutated_term(draw):
+    """A generated term with up to three slices dropped or tokens inserted."""
+    text = draw(terms())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+        else:
+            text = text[:at] + draw(st.sampled_from(TOKENS)) + text[at:]
+    return text
+
+
+def at_most_two_pars(text):
+    return text.count("||") <= 2
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.filter_too_much],
+)
+@given(
+    term=terms().filter(at_most_two_pars) | mutated_term().filter(at_most_two_pars),
+    unfold=st.sampled_from(["0", "1", "2"]),
+    out=st.sampled_from(["json", "dot"]),
+)
+def test_ccs_compile_exits_0_1_or_2_and_raises_nothing(tmp_path, term, unfold, out):
+    alphabet_path = tmp_path / "alphabet.json"
+    alphabet_path.write_text(json.dumps(alphabet_to_json(DEFAULT_ALPHABET)), encoding="utf-8")
+    argv = ["ccs", "compile", term, "--alphabet", str(alphabet_path), "--unfold", unfold, "--out", out]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a term that reads as an option
+            code = exc.code
     assert code in (0, 1, 2)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from corpus import (
     brute_closure,
     brute_hom_keys,
+    morphism_is_iso,
     pattern_words,
     random_failing_hdts,
     random_mixed_corpus,
@@ -38,7 +39,7 @@ from hdts import (
     transition,
     validate,
 )
-from hdts.core import morphism_is_iso, uisa_holds
+from hdts.core import uisa_holds
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import distance, map_compose, map_vertex_ids
+from corpus import distance, encode_poset_map, map_compose, map_vertex_ids
 from hdts.encoding import (
     NEG,
     POS,
@@ -18,7 +18,6 @@ from hdts.encoding import (
     cube_state_id,
     cube_vertices,
     edge_ids,
-    encode_poset_map,
     face_encoding,
     face_rows,
     identity_encoding,

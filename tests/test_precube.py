@@ -21,7 +21,7 @@ from hdts import (
     standard_cube,
     truncate,
 )
-from corpus import map_standard_cube, pattern_words
+from corpus import check_shell, map_standard_cube, pattern_words, shell_word
 from hdts.fixtures import double_square, not_strong_complex
 from hdts.precube import identity_precube_map
 from hdts.serialize import precube_to_json
@@ -188,11 +188,11 @@ def test_one_dimensional_sets_trivially_pass():
 def test_shell_word_is_induced_by_faces():
     K = standard_cube(("a", "b"))
     for c in K.ncells(2):
-        assert shell_of(K, 2, c).word(K) == K.label(2, c)
+        assert shell_word(shell_of(K, 2, c), K) == K.label(2, c)
 
 
 def test_shells_of_cells_are_compatible():
-    from hdts.precube import Shell, check_shell
+    from hdts.precube import Shell
 
     K = standard_cube(("a", "b", "c"))
     for n in (2, 3):

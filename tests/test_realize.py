@@ -6,9 +6,11 @@ import pytest
 
 from corpus import (
     morphism_cubify,
+    morphism_is_iso,
     random_cube_gluing,
     random_failing_hdts,
     random_mixed_corpus,
+    used_actions,
 )
 from hdts import (
     HdtsMorphism,
@@ -36,10 +38,9 @@ from hdts import (
     sh_reflect,
     standard_cube,
     unrealize_cube_map,
-    used_actions,
     validate,
 )
-from hdts.core import check_morphism, morphism_is_iso
+from hdts.core import check_morphism
 from hdts.encoding import face_encoding, sym_encoding
 from hdts.fixtures import double_square, glued_span, not_strong_complex
 from hdts.precube import make_precube

@@ -1,8 +1,11 @@
 """Fibered products, directed coskeleta, synchronized tensor products."""
 
+import functools
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import (
     ALPHA,
@@ -320,6 +323,20 @@ def test_five_parallel_edges_give_the_five_cube():
     }
 
 
+@pytest.mark.parametrize(
+    "k,digest",
+    [
+        (5, "c87792bc7fc2d81ad16998d1e0aba1ab3e8c4b14f41eb6b29b7f2d3d6ddbb5a0"),
+        (6, "935c980987f1e8d3b9dd44368dc9395aaefebefccdae20f999ed34811668d5cf"),
+    ],
+    ids=["k5", "k6"],
+)
+def test_parallel_edges_keep_their_bytes(k, digest):
+    """The compiled bytes of the 5- and 6-fold products, as the
+    coskeleton search first produced them."""
+    assert hashlib.sha256(compile_json(p_term(k), P_ALPHA).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_tensor_of_wedges_matches_word_keyed_oracle(seed):
     W = random_precube_wedge(seed)
@@ -379,9 +396,11 @@ def order_preserving_faces(m):
         yield CubeEncoding(fhat.count("var"), m, tuple(next(k) if v == "var" else v for v in fhat))
 
 
-def interior_cells(entry, m, n):
+def interior_tables(entry, m, n):
     """The cells of a word-keyed pair entry of cubes [m] and [n] whose
-    vertices vary in all m + n coordinates."""
+    vertices vary in all m + n coordinates, by dimension and in
+    ascending id, each with its direction table: the direction of
+    ``[d]`` that moves each coordinate."""
     fib, cosk = entry
     pc = cosk.precube
 
@@ -389,7 +408,7 @@ def interior_cells(entry, m, n):
         kv, lv = fib.vertex_pair[v]
         return all_encodings(0, m)[kv].apply(()) + all_encodings(0, n)[lv].apply(())
 
-    out = set()
+    out = {}
     for d in pc.dims():
         for c in pc.ncells(d):
             if d == 0:
@@ -399,14 +418,68 @@ def interior_cells(entry, m, n):
             else:
                 corners = cosk.contents[(d, c)][0]
             if all(len({b[j] for b in corners}) == 2 for j in range(m + n)):
-                out.add((d, c))
+                # vertex 1 << (d - e) is the unit vector of direction e
+                table = tuple(
+                    next(e for e in range(1, d + 1) if corners[1 << (d - e)][j])
+                    for j in range(m + n)
+                )
+                out.setdefault(d, []).append((c, table))
     return out
 
 
-def test_boundary_cells_have_one_preimage_in_one_face_entry(monkeypatch):
-    """Each boundary cell of a pair entry is the image of exactly one
-    interior cell of exactly one face pair's entry, and interior cells
-    are images of none; the word-keyed oracle builds the maps."""
+@functools.lru_cache(maxsize=None)
+def coskeleton_entry(word_k, word_l, cfg):
+    """The word-keyed pair entry of two words and its interior tables."""
+    entry = _word_pair_entry(word_k, word_l, cfg)
+    return entry + (interior_tables(entry, len(word_k), len(word_l)),)
+
+
+def check_entry_against_the_coskeleton(word_k, word_l, cfg, got, letters):
+    """``got`` (a closed-form entry over the renamed letters ``letters``
+    maps back from) is the interior of ``cosk_directed`` of
+    ``fibered_product`` of the two cube skeletons: the same tables in
+    the same order, the same labels and swaps, and each face is the one
+    interior cell of one face pair's entry that the face inclusion
+    carries onto it.  Every boundary cell is such a face image exactly
+    once, and no interior cell is one."""
+    fib, cosk, inner = coskeleton_entry(word_k, word_l, cfg)
+    pc = cosk.precube
+    m, n = len(word_k), len(word_l)
+    assert {d: tuple(t for _, t in cells) for d, cells in inner.items()} == dict(got.tables)
+    hits = {}
+    for gk in order_preserving_faces(m):
+        for gl in order_preserving_faces(n):
+            if gk.is_identity and gl.is_identity:
+                continue
+            sub_k = tuple(x for x, v in zip(word_k, gk.fhat) if v not in (NEG, POS))
+            sub_l = tuple(x for x, v in zip(word_l, gl.fhat) if v not in (NEG, POS))
+            face = coskeleton_entry(sub_k, sub_l, cfg)
+            cell_map = _word_pair_map(face[:2], (fib, cosk), gk, gl)
+            for d, cells in face[2].items():
+                for z, (c, _) in enumerate(cells):
+                    hits.setdefault((d, cell_map[(d, c)]), []).append((gk, gl, z))
+    rank = {(d, c): x for d, cells in inner.items() for x, (c, _) in enumerate(cells)}
+    for d, cells in inner.items():
+        for x, (c, _) in enumerate(cells):
+            assert (d, c) not in hits
+            if d:
+                assert tuple(letters[a] for a in got.labels[d][x]) == pc.label(d, c)
+            assert got.swaps[d][x] == tuple(rank[(d, pc.sym(d, c, i))] for i in range(1, d))
+            want = []
+            for i in range(1, d + 1):
+                for alpha in (0, 1):
+                    [hit] = hits[(d - 1, pc.face(d, c, i, alpha))]
+                    want.append(hit)
+            assert got.faces[d][x] == tuple(want)
+    for d in pc.dims():
+        for c in pc.ncells(d):
+            if (d, c) not in rank:
+                assert len(hits[(d, c)]) == 1
+
+
+def test_closed_form_entries_are_the_interior_of_the_coskeleton(monkeypatch):
+    """The pair entries built by products of the corpus, checked against
+    the paper's construction, which the word-keyed oracle builds."""
     shapes = set()
     shape = sync._shape
 
@@ -425,27 +498,18 @@ def test_boundary_cells_have_one_preimage_in_one_face_entry(monkeypatch):
 
     for word_k, word_l, pairs in sorted(shapes):
         cfg = make_alphabet(word_k + word_l, tau=sync._TAU, pairs=pairs)
-        entry = _word_pair_entry(word_k, word_l, cfg)
-        m, n = len(word_k), len(word_l)
-        hits = {}
-        for gk in order_preserving_faces(m):
-            for gl in order_preserving_faces(n):
-                if gk.is_identity and gl.is_identity:
-                    continue
-                sub_k = tuple(x for x, v in zip(word_k, gk.fhat) if v not in (NEG, POS))
-                sub_l = tuple(x for x, v in zip(word_l, gl.fhat) if v not in (NEG, POS))
-                face = _word_pair_entry(sub_k, sub_l, cfg)
-                cell_map = _word_pair_map(face, entry, gk, gl)
-                for d, z in interior_cells(face, len(sub_k), len(sub_l)):
-                    hits.setdefault((d, cell_map[(d, z)]), []).append((gk, gl, z))
-        inner = interior_cells(entry, m, n)
         got = sync._shape_entry((word_k, word_l, pairs))
-        assert inner == {(d, c) for d, cs in got.interior.items() for c in cs}
-        pc = entry[1].precube
-        for d in pc.dims():
-            for c in pc.ncells(d):
-                if (d, c) in inner:
-                    assert (d, c) not in hits
-                    continue
-                [hit] = hits[(d, c)]
-                assert got.preimage[d][c] == hit
+        check_entry_against_the_coskeleton(word_k, word_l, cfg, got, {x: x for x in cfg.labels})
+
+
+LETTERS = st.sampled_from(["a", "abar", "b", "tau"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    word_k=st.lists(LETTERS, max_size=3).map(tuple),
+    word_l=st.lists(LETTERS, max_size=2).map(tuple),
+)
+def test_closed_form_entries_match_the_coskeleton_on_generated_words(word_k, word_l):
+    shape, letters = sync._shape(word_k, word_l, ALPHA)
+    check_entry_against_the_coskeleton(word_k, word_l, ALPHA, sync._shape_entry(shape), letters)
