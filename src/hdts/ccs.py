@@ -14,6 +14,9 @@ cells whose label word avoids the restricted pair, parallel composition
 is the synchronized tensor product, and recursion unfolds until two
 consecutive stages are isomorphic (initial and decorations included) or
 a depth bound is hit, in which case the result is flagged truncated.
+Prefix, sum and restriction each renumber cells with one
+``precube.glue`` call, and the initial vertex of every result but a
+parallel composition is decorated with its term.
 Each stage is built from the previous one: ``semantics`` reuses the
 set it holds for a subterm that *is* the previous stage's term, by
 identity, not by hashing or equality, which recurse once per nesting
@@ -24,16 +27,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import count
 
 from .alphabet import Alphabet
-from .precube import (
-    PrecubeError,
-    PrecubicalSet,
-    colimit_presheaf,
-    iso_check_precube,
-    PrecubeMap,
-    make_precube,
-)
+from .precube import PrecubeError, PrecubicalSet, glue, iso_check_precube, standard_cube
 from .sync import tensor_sync
 
 
@@ -311,77 +308,42 @@ def parse(text: str, cfg: Alphabet) -> ProcessTerm:
 # semantics
 
 
-def _point(decoration: str) -> PrecubicalSet:
-    return PrecubicalSet({0: (0,)}, {}, {}, {}, {0: decoration}, initial=0)
+_NIL = PrecubicalSet({0: (0,)}, {}, {}, {}, initial=0)
 
 
-def _graft_prefix(label: str, sub: PrecubicalSet, decoration: str) -> PrecubicalSet:
+def _graft_prefix(label: str, sub: PrecubicalSet) -> PrecubicalSet:
     """One fresh edge in front of ``sub``'s initial vertex.
 
     The new vertex and the new edge take id 0 in their dimensions; the
     old vertices and edges shift up by one, higher cells keep their ids.
     """
-    cells = {
-        0: (0,) + tuple(v + 1 for v in sub.vertices),
-        1: (0,) + tuple(e + 1 for e in sub.ncells(1)),
-    }
-    for n in sub.dims():
-        if n >= 2:
-            cells[n] = sub.ncells(n)
-    faces = {(1, 0, 1, 0): 0, (1, 0, 1, 1): sub.initial + 1}
-    labels = {(1, 0): (label,)}
-    syms = dict(sub.syms)
-    for (n, c, i, alpha), v in sub.faces.items():
-        faces[(n, c + 1 if n == 1 else c, i, alpha)] = v + 1 if n <= 2 else v
-    for (n, c), w in sub.labels.items():
-        labels[(n, c + 1 if n == 1 else c)] = w
-    decorations = {0: decoration}
-    for v, d in sub.decoration.items():
-        decorations[v + 1] = d
-    return make_precube(
-        cells, faces, syms, labels, decorations, initial=0, truncated=sub.truncated
-    )
+    edge = {(0, 0): 0, (0, 1): sub.initial + 1, (1, 0): 0}
+    ids = {(n, c): c + 1 if n <= 1 else c for n in sub.dims() for c in sub.ncells(n)}
+    return glue([(standard_cube((label,)), edge), (sub, ids)], initial=0)
 
 
-def _wedge(left: PrecubicalSet, right: PrecubicalSet, decoration: str) -> PrecubicalSet:
-    point = _point(decoration)
-    arrows = [
-        (2, 0, PrecubeMap(point, left, {(0, 0): left.initial})),
-        (2, 1, PrecubeMap(point, right, {(0, 0): right.initial})),
-    ]
-    out, cocones = colimit_presheaf([left, right, point], arrows)
-    initial = cocones[2].cell_map[(0, 0)]
-    decorations = dict(out.decoration)
-    decorations[initial] = decoration
-    return replace(out, decoration=decorations, initial=initial)
+def _wedge(left: PrecubicalSet, right: PrecubicalSet) -> PrecubicalSet:
+    """``left`` and ``right`` joined at their initial vertices.
+
+    ``left``'s n-cells take their rank; ``right``'s other n-cells follow
+    them, in order.
+    """
+    ids = {(n, c): k for n in left.dims() for k, c in enumerate(left.ncells(n))}
+    joint = ids[(0, left.initial)]
+    right_ids = {(0, right.initial): joint}
+    for n in right.dims():
+        rest = [c for c in right.ncells(n) if n or c != right.initial]
+        right_ids.update(zip([(n, c) for c in rest], count(len(left.ncells(n)))))
+    return glue([(left, ids), (right, right_ids)], initial=joint)
 
 
 def _filter_labels(sub: PrecubicalSet, banned: set[str]) -> PrecubicalSet:
-    keep: dict[int, list[int]] = {}
+    """The cells of ``sub`` whose label word avoids ``banned``, by rank."""
+    ids = {}
     for n in sub.dims():
-        keep[n] = [c for c in sub.ncells(n) if not (set(sub.label(n, c)) & banned)]
-    renum = {
-        (n, c): k for n in keep for k, c in enumerate(keep[n])
-    }
-    cells = {n: tuple(range(len(keep[n]))) for n in keep}
-    faces = {
-        (n, renum[(n, c)], i, a): renum[(n - 1, v)]
-        for (n, c, i, a), v in sub.faces.items()
-        if (n, c) in renum
-    }
-    syms = {
-        (n, renum[(n, c)], i): renum[(n, v)]
-        for (n, c, i), v in sub.syms.items()
-        if (n, c) in renum
-    }
-    labels = {
-        (n, renum[(n, c)]): w for (n, c), w in sub.labels.items() if (n, c) in renum
-    }
-    decoration = {renum[(0, v)]: d for v, d in sub.decoration.items()}
-    initial = None if sub.initial is None else renum[(0, sub.initial)]
-    return make_precube(
-        cells, faces, syms, labels, decoration, initial=initial, truncated=sub.truncated
-    )
+        keep = [c for c in sub.ncells(n) if banned.isdisjoint(sub.label(n, c))]
+        ids.update(zip([(n, c) for c in keep], count()))
+    return glue([(sub, ids)], initial=ids[(0, sub.initial)])
 
 
 def semantics(
@@ -403,17 +365,21 @@ def semantics(
     for known, K in stages:
         if term is known:
             return K
-    if isinstance(term, Nil):
-        return _point("nil")
-    if isinstance(term, Prefix):
-        cfg.check_label(term.label)
-        sub = semantics(term.body, cfg, unfold_depth, stages=stages)
-        return _graft_prefix(term.label, sub, term_str(term))
-    if isinstance(term, Sum):
+    if isinstance(term, Par):
         left = semantics(term.left, cfg, unfold_depth, stages=stages)
         right = semantics(term.right, cfg, unfold_depth, stages=stages)
-        return _wedge(left, right, term_str(term))
-    if isinstance(term, Restrict):
+        return tensor_sync(left, right, cfg)
+    if isinstance(term, Nil):
+        out = _NIL
+    elif isinstance(term, Prefix):
+        cfg.check_label(term.label)
+        sub = semantics(term.body, cfg, unfold_depth, stages=stages)
+        out = _graft_prefix(term.label, sub)
+    elif isinstance(term, Sum):
+        left = semantics(term.left, cfg, unfold_depth, stages=stages)
+        right = semantics(term.right, cfg, unfold_depth, stages=stages)
+        out = _wedge(left, right)
+    elif isinstance(term, Restrict):
         cfg.check_label(term.label)
         banned = {term.label}
         partner = cfg.bar(term.label)
@@ -421,14 +387,7 @@ def semantics(
             banned.add(partner)
         sub = semantics(term.body, cfg, unfold_depth, stages=stages)
         out = _filter_labels(sub, banned)
-        decorations = dict(out.decoration)
-        decorations[out.initial] = term_str(term)
-        return replace(out, decoration=decorations)
-    if isinstance(term, Par):
-        left = semantics(term.left, cfg, unfold_depth, stages=stages)
-        right = semantics(term.right, cfg, unfold_depth, stages=stages)
-        return tensor_sync(left, right, cfg)
-    if isinstance(term, Rec):
+    elif isinstance(term, Rec):
         stage_term: ProcessTerm = Nil()
         stage = semantics(stage_term, cfg, unfold_depth, stages=stages)
         for _ in range(unfold_depth):
@@ -442,12 +401,11 @@ def semantics(
             stage_term, stage = next_term, nxt
         else:
             out = replace(stage, truncated=True)
-        decorations = dict(out.decoration)
-        decorations[out.initial] = term_str(term)
-        return replace(out, decoration=decorations)
-    if isinstance(term, Var):
+    elif isinstance(term, Var):
         raise PrecubeError("cannot interpret an open term")
-    raise TypeError(f"not a process term: {term!r}")
+    else:
+        raise TypeError(f"not a process term: {term!r}")
+    return replace(out, decoration={**out.decoration, out.initial: term_str(term)})
 
 
 def compile_text(text: str, cfg: Alphabet, unfold_depth: int = 8) -> PrecubicalSet:

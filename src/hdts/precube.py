@@ -7,12 +7,18 @@ boundary, swap and mixed exchange relations of the symmetric cube
 shapes, and the label word must track them: dropping a face removes the
 corresponding letter, swapping coordinates swaps adjacent letters.
 ``check_relations`` verifies all of this cellwise.
+
+Every construction that copies cells from other sets goes through
+``glue``, which renumbers cells by explicit id maps and checks each
+merge: colimits and quotients number the classes of a union-find, and
+the process-term compiler renumbers directly.  Renaming preserves the
+relations, so ``glue`` does not recheck the whole set.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field, replace
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, product
 from typing import Mapping, Sequence
@@ -20,8 +26,6 @@ from typing import Mapping, Sequence
 from .encoding import all_encodings, face_rows, swap_rows, word_along
 from .search import backtrack
 from .unionfind import UnionFind
-
-log = logging.getLogger(__name__)
 
 
 class PrecubeError(ValueError):
@@ -91,7 +95,6 @@ def make_precube(
     decoration=None,
     initial=None,
     truncated=False,
-    check=True,
 ) -> PrecubicalSet:
     out = PrecubicalSet(
         {n: tuple(ids) for n, ids in cells.items()},
@@ -102,8 +105,7 @@ def make_precube(
         initial,
         truncated,
     )
-    if check:
-        check_relations(out)
+    check_relations(out)
     return out
 
 
@@ -239,16 +241,13 @@ def standard_cube(word: Sequence[str]) -> PrecubicalSet:
         for m in range(1, n + 1)
         for k, enc in enumerate(all_encodings(m, n))
     }
-    return make_precube(*_cube_shape(n), labels, check=False)
+    return PrecubicalSet(*_cube_shape(n), labels)
 
 
 def truncate(K: PrecubicalSet, n: int) -> PrecubicalSet:
     """Drop every cell above dimension ``n``; ids are preserved."""
-    cells = {d: ids for d, ids in K.cells.items() if d <= n}
-    faces = {k: v for k, v in K.faces.items() if k[0] <= n}
-    syms = {k: v for k, v in K.syms.items() if k[0] <= n}
-    labels = {k: v for k, v in K.labels.items() if k[0] <= n}
-    return PrecubicalSet(cells, faces, syms, labels, K.decoration, K.initial, K.truncated)
+    ids = {(d, c): c for d in K.dims() if d <= n for c in K.ncells(d)}
+    return glue([(K, ids)], K.initial)
 
 
 def boundary(word: Sequence[str]) -> PrecubicalSet:
@@ -313,58 +312,60 @@ def compose_precube_maps(f: PrecubeMap, g: PrecubeMap) -> PrecubeMap:
 
 
 # ---------------------------------------------------------------------------
-# colimits and quotients
+# gluing, colimits and quotients
 
 
-def _merge_classes(tagged_cells, face_of, sym_of, label_of, decoration_of, uf):
-    """Shared quotient construction over tagged cells.
+def glue(parts, initial=None) -> PrecubicalSet:
+    """One set made of the cells of ``parts``, under new ids.
 
-    ``tagged_cells``: dict dim -> sorted list of tags.  The accessors
-    take a tag and either return a tag (faces/syms), a word, or a
-    decoration (None allowed).  Returns (PrecubicalSet, tag -> new id).
+    Each part is a pair ``(K, ids)``: ``ids`` maps ``(n, c)`` to the id of
+    K's n-cell c in dimension n of the result, and a cell without an id
+    is dropped (the faces and swaps of a kept cell must keep theirs).
+    Faces, swaps, labels and decorations are written under the new ids.
+    Cells sent to one id are merged and must agree on faces, swaps and
+    labels; a merged vertex keeps the least decoration sent to it.  The
+    result is truncated if any part is.
     """
-    new_id: dict = {}
-    cells = {}
-    for n in sorted(tagged_cells):
-        groups = {}
-        for tag in tagged_cells[n]:
-            root = uf.find((n, tag))
-            groups.setdefault(root, []).append(tag)
-        ordered = sorted(groups.values(), key=lambda g: g[0])
-        cells[n] = tuple(range(len(ordered)))
-        for k, members in enumerate(ordered):
-            for tag in members:
-                new_id[(n, tag)] = k
-        tagged_cells[n] = ordered  # keep member lists for the second pass
+    cells: dict[int, set[int]] = defaultdict(set)
     faces, syms, labels, decoration = {}, {}, {}, {}
-    for n in sorted(tagged_cells):
-        for k, members in enumerate(tagged_cells[n]):
-            words = {label_of(n, tag) for tag in members}
-            if len(words) != 1:
+    truncated = False
+    for K, ids in parts:
+        truncated = truncated or K.truncated
+        for (n, _), k in ids.items():
+            cells[n].add(k)
+        for (n, c), word in K.labels.items():
+            k = ids.get((n, c))
+            if k is not None and labels.setdefault((n, k), word) != word:
                 raise PrecubeError("merged cells disagree on labels")
-            if n >= 1:
-                labels[(n, k)] = words.pop()
-            if n == 0:
-                names = sorted(
-                    d for d in (decoration_of(tag) for tag in members) if d is not None
-                )
-                if names:
-                    if len(set(names)) > 1:
-                        log.debug("decoration merge picks %r among %r", names[0], names)
-                    decoration[k] = names[0]
-            for i in range(1, n + 1):
-                for alpha in (0, 1):
-                    vals = {new_id[(n - 1, face_of(n, tag, i, alpha))] for tag in members}
-                    if len(vals) != 1:
-                        raise PrecubeError("merged cells disagree on faces")
-                    faces[(n, k, i, alpha)] = vals.pop()
-            for i in range(1, n):
-                vals = {new_id[(n, sym_of(n, tag, i))] for tag in members}
-                if len(vals) != 1:
+        for (n, c, i, alpha), f in K.faces.items():
+            k = ids.get((n, c))
+            if k is not None:
+                f = ids[(n - 1, f)]
+                if faces.setdefault((n, k, i, alpha), f) != f:
+                    raise PrecubeError("merged cells disagree on faces")
+        for (n, c, i), s in K.syms.items():
+            k = ids.get((n, c))
+            if k is not None:
+                s = ids[(n, s)]
+                if syms.setdefault((n, k, i), s) != s:
                     raise PrecubeError("merged cells disagree on swaps")
-                syms[(n, k, i)] = vals.pop()
-    out = PrecubicalSet(cells, faces, syms, labels, decoration)
-    return out, new_id
+        for v, name in K.decoration.items():
+            k = ids.get((0, v))
+            if k is not None and (k not in decoration or name < decoration[k]):
+                decoration[k] = name
+    return PrecubicalSet(cells, faces, syms, labels, decoration, initial, truncated)
+
+
+def _class_ids(uf: UnionFind) -> dict:
+    """Each ``(n, tag)`` key of ``uf`` to the id of its class: the classes
+    of n-cells are numbered in the order of their least members."""
+    ids, count = {}, Counter()
+    for members in uf.groups():
+        n = members[0][0]
+        for key in members:
+            ids[key] = count[n]
+        count[n] += 1
+    return ids
 
 
 def colimit_presheaf(
@@ -384,62 +385,26 @@ def colimit_presheaf(
             raise PrecubeError("arrow target does not match the diagram")
         check_precube_map(f)
 
-    tagged = {}
-    uf = UnionFind()
-    for oi, K in enumerate(objects):
-        for n in K.dims():
-            tagged.setdefault(n, [])
-            for c in K.ncells(n):
-                tagged[n].append((oi, c))
-                uf.add((n, (oi, c)))
-    for n in tagged:
-        tagged[n].sort()
+    uf = UnionFind(
+        (n, (oi, c)) for oi, K in enumerate(objects) for n in K.dims() for c in K.ncells(n)
+    )
     for si, ti, f in arrows:
-        for (n, c), d in f.cell_map.items():
-            uf.union((n, (si, c)), (n, (ti, d)))
-
-    def face_of(n, tag, i, alpha):
-        oi, c = tag
-        return (oi, objects[oi].face(n, c, i, alpha))
-
-    def sym_of(n, tag, i):
-        oi, c = tag
-        return (oi, objects[oi].sym(n, c, i))
-
-    def label_of(n, tag):
-        oi, c = tag
-        return objects[oi].label(n, c)
-
-    def decoration_of(tag):
-        oi, c = tag
-        return objects[oi].decoration.get(c)
-
-    out, new_id = _merge_classes(tagged, face_of, sym_of, label_of, decoration_of, uf)
-    if any(K.truncated for K in objects):
-        out = replace(out, truncated=True)
-    cocones = [
-        PrecubeMap(
-            K, out, {(n, c): new_id[(n, (oi, c))] for n in K.dims() for c in K.ncells(n)}
-        )
+        for n in f.src.dims():
+            for c in f.src.ncells(n):
+                uf.union((n, (si, c)), (n, (ti, f.cell_map[(n, c)])))
+    class_id = _class_ids(uf)
+    maps = [
+        {(n, c): class_id[(n, (oi, c))] for n in K.dims() for c in K.ncells(n)}
         for oi, K in enumerate(objects)
     ]
-    return out, cocones
+    out = glue(zip(objects, maps))
+    return out, [PrecubeMap(K, out, ids) for K, ids in zip(objects, maps)]
 
 
 def _quotient(K: PrecubicalSet, uf: UnionFind) -> tuple[PrecubicalSet, PrecubeMap]:
-    tagged = {n: list(K.ncells(n)) for n in K.dims()}
-    out, new_id = _merge_classes(
-        tagged,
-        lambda n, c, i, a: K.face(n, c, i, a),
-        lambda n, c, i: K.sym(n, c, i),
-        lambda n, c: K.label(n, c),
-        lambda c: K.decoration.get(c),
-        uf,
-    )
-    initial = None if K.initial is None else new_id[(0, K.initial)]
-    out = replace(out, initial=initial, truncated=K.truncated)
-    qmap = PrecubeMap(K, out, {(n, c): new_id[(n, c)] for n in K.dims() for c in K.ncells(n)})
-    return out, qmap
+    ids = _class_ids(uf)
+    out = glue([(K, ids)], None if K.initial is None else ids[(0, K.initial)])
+    return out, PrecubeMap(K, out, ids)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ from the library's algorithms: the closure oracle rescans every rule
 instance naively, the hom-key oracle enumerates every raw assignment,
 the axiom oracle scans once per axiom, the cubification oracle
 composes a morphism between cube systems for every face and swap, the
-cube oracles build and validate one encoding per composite, and
-the random closed systems are closed by the library only as a final step
-(they are not valid inputs otherwise).
+cube oracles build and validate one encoding per composite, the gluing
+oracles merge union-find classes cell by cell and rebuild and recheck
+each compiled set whole, and the random closed systems are closed by
+the library only as a final step (they are not valid inputs otherwise).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 from hdts import (
     Action,
@@ -46,8 +48,16 @@ from hdts.encoding import (
     face_encoding,
     sym_encoding,
 )
-from hdts.precube import PrecubeError, Shell, make_precube
+from hdts.precube import (
+    PrecubeError,
+    PrecubeMap,
+    PrecubicalSet,
+    Shell,
+    check_precube_map,
+    make_precube,
+)
 from hdts.realize import Cubification, realize, realize_cube_map
+from hdts.unionfind import UnionFind
 
 ALPHA = DEFAULT_ALPHABET
 
@@ -198,9 +208,10 @@ def random_failing_hdts(seed: int) -> WeakHDTS:
     return WeakHDTS(frozenset(range(k)), base.actions, frozenset(trans))
 
 
-def random_precube_wedge(seed: int):
-    """A wedge of standard cubes glued at one shared vertex."""
-    from hdts import PrecubeMap, PrecubicalSet, colimit_presheaf, standard_cube
+def random_wedge_diagram(seed: int):
+    """Standard cubes and a point, with an arrow from the point to one
+    vertex of each cube: (objects, arrows) for ``colimit_presheaf``."""
+    from hdts import standard_cube
 
     rng = random.Random(seed)
     words = [
@@ -213,8 +224,14 @@ def random_precube_wedge(seed: int):
     for i, K in enumerate(cubes):
         anchor = rng.choice(K.vertices)
         arrows.append((len(cubes), i, PrecubeMap(point, K, {(0, 0): anchor})))
-    out, _ = colimit_presheaf(cubes + [point], arrows)
-    return out
+    return cubes + [point], arrows
+
+
+def random_precube_wedge(seed: int):
+    """A wedge of standard cubes glued at one shared vertex."""
+    from hdts import colimit_presheaf
+
+    return colimit_presheaf(*random_wedge_diagram(seed))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +606,6 @@ def _word_pair_map(src, dst, enc_k, enc_l):
 def word_keyed_tensor_sync(K, L, cfg):
     """``tensor_sync`` with one pair entry per label-word pair and one
     pair map computed per arrow, as the shape-keyed version must match."""
-    from dataclasses import replace
-
-    from hdts import PrecubeMap, colimit_presheaf
     from hdts.precube import EMPTY_PRECUBE
     from hdts.encoding import face_encoding, identity_encoding, sym_encoding
 
@@ -638,7 +652,7 @@ def word_keyed_tensor_sync(K, L, cfg):
             arrows.append((pair_index[src_pair], pi,
                            PrecubeMap(src[1].precube, dst[1].precube, cmap)))
     objects = [entry(pair)[1].precube for pair in pairs]
-    out, cocones = colimit_presheaf(objects, arrows)
+    out, cocones = merging_colimit_presheaf(objects, arrows)
 
     def pair_vertex(u, v):
         return cocones[pair_index[((0, u), (0, v))]].cell_map[(0, 0)]
@@ -673,6 +687,205 @@ def random_sync_term(seed: int) -> str:
     return f"(nu {rng.choice('ab')})({term})" if rng.random() < 0.3 else term
 
 
+#: 200 seeds give 196 distinct terms; repeats are dropped so that test ids stay unique
+RANDOM_SYNC_TERMS = list(dict.fromkeys(random_sync_term(s) for s in range(200)))
+
+
+# ---------------------------------------------------------------------------
+# gluing through union-find classes, and compile steps that rebuild and
+# recheck the whole set (oracles for hdts.precube.glue, for the colimit and
+# quotient built on it, and for the prefix, sum and restriction of hdts.ccs)
+
+
+def _merge_classes(tagged_cells, face_of, sym_of, label_of, decoration_of, uf):
+    """Shared quotient construction over tagged cells.
+
+    ``tagged_cells``: dict dim -> sorted list of tags.  The accessors
+    take a tag and either return a tag (faces/syms), a word, or a
+    decoration (None allowed).  Returns (PrecubicalSet, tag -> new id).
+    """
+    new_id: dict = {}
+    cells = {}
+    for n in sorted(tagged_cells):
+        groups = {}
+        for tag in tagged_cells[n]:
+            root = uf.find((n, tag))
+            groups.setdefault(root, []).append(tag)
+        ordered = sorted(groups.values(), key=lambda g: g[0])
+        cells[n] = tuple(range(len(ordered)))
+        for k, members in enumerate(ordered):
+            for tag in members:
+                new_id[(n, tag)] = k
+        tagged_cells[n] = ordered  # keep member lists for the second pass
+    faces, syms, labels, decoration = {}, {}, {}, {}
+    for n in sorted(tagged_cells):
+        for k, members in enumerate(tagged_cells[n]):
+            words = {label_of(n, tag) for tag in members}
+            if len(words) != 1:
+                raise PrecubeError("merged cells disagree on labels")
+            if n >= 1:
+                labels[(n, k)] = words.pop()
+            if n == 0:
+                names = sorted(
+                    d for d in (decoration_of(tag) for tag in members) if d is not None
+                )
+                if names:
+                    decoration[k] = names[0]
+            for i in range(1, n + 1):
+                for alpha in (0, 1):
+                    vals = {new_id[(n - 1, face_of(n, tag, i, alpha))] for tag in members}
+                    if len(vals) != 1:
+                        raise PrecubeError("merged cells disagree on faces")
+                    faces[(n, k, i, alpha)] = vals.pop()
+            for i in range(1, n):
+                vals = {new_id[(n, sym_of(n, tag, i))] for tag in members}
+                if len(vals) != 1:
+                    raise PrecubeError("merged cells disagree on swaps")
+                syms[(n, k, i)] = vals.pop()
+    out = PrecubicalSet(cells, faces, syms, labels, decoration)
+    return out, new_id
+
+
+def merging_colimit_presheaf(objects, arrows=()):
+    """``colimit_presheaf`` through ``_merge_classes``."""
+    objects = list(objects)
+    for si, ti, f in arrows:
+        if f.src is not objects[si] and f.src != objects[si]:
+            raise PrecubeError("arrow source does not match the diagram")
+        if f.dst is not objects[ti] and f.dst != objects[ti]:
+            raise PrecubeError("arrow target does not match the diagram")
+        check_precube_map(f)
+
+    tagged = {}
+    uf = UnionFind()
+    for oi, K in enumerate(objects):
+        for n in K.dims():
+            tagged.setdefault(n, [])
+            for c in K.ncells(n):
+                tagged[n].append((oi, c))
+                uf.add((n, (oi, c)))
+    for n in tagged:
+        tagged[n].sort()
+    for si, ti, f in arrows:
+        for (n, c), d in f.cell_map.items():
+            uf.union((n, (si, c)), (n, (ti, d)))
+
+    def face_of(n, tag, i, alpha):
+        oi, c = tag
+        return (oi, objects[oi].face(n, c, i, alpha))
+
+    def sym_of(n, tag, i):
+        oi, c = tag
+        return (oi, objects[oi].sym(n, c, i))
+
+    def label_of(n, tag):
+        oi, c = tag
+        return objects[oi].label(n, c)
+
+    def decoration_of(tag):
+        oi, c = tag
+        return objects[oi].decoration.get(c)
+
+    out, new_id = _merge_classes(tagged, face_of, sym_of, label_of, decoration_of, uf)
+    if any(K.truncated for K in objects):
+        out = replace(out, truncated=True)
+    cocones = [
+        PrecubeMap(
+            K, out, {(n, c): new_id[(n, (oi, c))] for n in K.dims() for c in K.ncells(n)}
+        )
+        for oi, K in enumerate(objects)
+    ]
+    return out, cocones
+
+
+def _merging_quotient(K, uf):
+    tagged = {n: list(K.ncells(n)) for n in K.dims()}
+    out, new_id = _merge_classes(
+        tagged,
+        lambda n, c, i, a: K.face(n, c, i, a),
+        lambda n, c, i: K.sym(n, c, i),
+        lambda n, c: K.label(n, c),
+        lambda c: K.decoration.get(c),
+        uf,
+    )
+    initial = None if K.initial is None else new_id[(0, K.initial)]
+    out = replace(out, initial=initial, truncated=K.truncated)
+    qmap = PrecubeMap(K, out, {(n, c): new_id[(n, c)] for n in K.dims() for c in K.ncells(n)})
+    return out, qmap
+
+
+def _point(decoration):
+    return PrecubicalSet({0: (0,)}, {}, {}, {}, {0: decoration}, initial=0)
+
+
+def checked_graft_prefix(label, sub, decoration):
+    """One fresh edge in front of ``sub``'s initial vertex, the whole set
+    rebuilt and checked by ``make_precube``."""
+    cells = {
+        0: (0,) + tuple(v + 1 for v in sub.vertices),
+        1: (0,) + tuple(e + 1 for e in sub.ncells(1)),
+    }
+    for n in sub.dims():
+        if n >= 2:
+            cells[n] = sub.ncells(n)
+    faces = {(1, 0, 1, 0): 0, (1, 0, 1, 1): sub.initial + 1}
+    labels = {(1, 0): (label,)}
+    syms = dict(sub.syms)
+    for (n, c, i, alpha), v in sub.faces.items():
+        faces[(n, c + 1 if n == 1 else c, i, alpha)] = v + 1 if n <= 2 else v
+    for (n, c), w in sub.labels.items():
+        labels[(n, c + 1 if n == 1 else c)] = w
+    decorations = {0: decoration}
+    for v, d in sub.decoration.items():
+        decorations[v + 1] = d
+    return make_precube(
+        cells, faces, syms, labels, decorations, initial=0, truncated=sub.truncated
+    )
+
+
+def colimit_wedge(left, right, decoration):
+    """The sum of two sets as the colimit of ``left <- point -> right``."""
+    point = _point(decoration)
+    arrows = [
+        (2, 0, PrecubeMap(point, left, {(0, 0): left.initial})),
+        (2, 1, PrecubeMap(point, right, {(0, 0): right.initial})),
+    ]
+    out, cocones = merging_colimit_presheaf([left, right, point], arrows)
+    initial = cocones[2].cell_map[(0, 0)]
+    decorations = dict(out.decoration)
+    decorations[initial] = decoration
+    return replace(out, decoration=decorations, initial=initial)
+
+
+def checked_filter_labels(sub, banned):
+    """The restriction of ``sub``, rebuilt and checked by ``make_precube``."""
+    keep: dict[int, list[int]] = {}
+    for n in sub.dims():
+        keep[n] = [c for c in sub.ncells(n) if not (set(sub.label(n, c)) & banned)]
+    renum = {
+        (n, c): k for n in keep for k, c in enumerate(keep[n])
+    }
+    cells = {n: tuple(range(len(keep[n]))) for n in keep}
+    faces = {
+        (n, renum[(n, c)], i, a): renum[(n - 1, v)]
+        for (n, c, i, a), v in sub.faces.items()
+        if (n, c) in renum
+    }
+    syms = {
+        (n, renum[(n, c)], i): renum[(n, v)]
+        for (n, c, i), v in sub.syms.items()
+        if (n, c) in renum
+    }
+    labels = {
+        (n, renum[(n, c)]): w for (n, c), w in sub.labels.items() if (n, c) in renum
+    }
+    decoration = {renum[(0, v)]: d for v, d in sub.decoration.items()}
+    initial = None if sub.initial is None else renum[(0, sub.initial)]
+    return make_precube(
+        cells, faces, syms, labels, decoration, initial=initial, truncated=sub.truncated
+    )
+
+
 # ---------------------------------------------------------------------------
 # from-scratch recursion (oracle for the stage reuse of hdts.ccs.semantics)
 
@@ -681,14 +894,10 @@ def scratch_semantics(term, cfg, unfold_depth=8):
     """``semantics`` with every recursion stage compiled from scratch:
     each copy of the previous stage inside ``subst(body, x, stage)`` is
     compiled again down to ``nil``, as the stage-reusing version must
-    match."""
-    from dataclasses import replace
-
+    match.  Prefix, sum and restriction go through the gluing oracles
+    above rather than ``hdts.precube.glue``."""
     from hdts import PrecubeError, iso_check_precube, tensor_sync
-    from hdts.ccs import (
-        Nil, Par, Prefix, Rec, Restrict, Sum, _filter_labels, _graft_prefix, _point,
-        _wedge, subst, term_str,
-    )
+    from hdts.ccs import Nil, Par, Prefix, Rec, Restrict, Sum, subst, term_str
 
     def decorate_initial(out):
         return replace(out, decoration={**out.decoration, out.initial: term_str(term)})
@@ -700,13 +909,13 @@ def scratch_semantics(term, cfg, unfold_depth=8):
         return _point("nil")
     if isinstance(term, Prefix):
         cfg.check_label(term.label)
-        return _graft_prefix(term.label, sub(term.body), term_str(term))
+        return checked_graft_prefix(term.label, sub(term.body), term_str(term))
     if isinstance(term, Sum):
-        return _wedge(sub(term.left), sub(term.right), term_str(term))
+        return colimit_wedge(sub(term.left), sub(term.right), term_str(term))
     if isinstance(term, Restrict):
         cfg.check_label(term.label)
         banned = {term.label, cfg.bar(term.label)} - {None}
-        return decorate_initial(_filter_labels(sub(term.body), banned))
+        return decorate_initial(checked_filter_labels(sub(term.body), banned))
     if isinstance(term, Par):
         return tensor_sync(sub(term.left), sub(term.right), cfg)
     if isinstance(term, Rec):
@@ -918,7 +1127,7 @@ def map_standard_cube(word):
             for i in range(1, m):
                 swapped = map_compose(sym_encoding(i, m), enc)
                 syms[(m, k, i)] = index[m][swapped]
-    return make_precube(cells, faces, syms, labels, check=False)
+    return PrecubicalSet(cells, faces, syms, labels)
 
 
 def word_cube(word: tuple[str, ...]) -> WeakHDTS:

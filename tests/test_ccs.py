@@ -1,8 +1,19 @@
 """Process term parsing and precubical semantics."""
 
+import hashlib
+import sys
+
 import pytest
 
-from corpus import ALPHA, CCS_CORPUS, random_rec_term, scratch_semantics, sync_edges
+from corpus import (
+    ALPHA,
+    CCS_CORPUS,
+    RANDOM_SYNC_TERMS,
+    random_precube_wedge,
+    random_rec_term,
+    scratch_semantics,
+    sync_edges,
+)
 from hdts import (
     check_relations,
     compile_text,
@@ -247,3 +258,47 @@ def test_each_stage_is_compiled_once(monkeypatch):
     K = compile_text("rec(x) (a.x + b.x)", ALPHA, unfold_depth=7)
     assert K.truncated
     assert len(wedges) == 7
+
+
+# ---------------------------------------------------------------------------
+# compile bytes, pinned, and the whole-set checks the compile steps do not make
+
+#: sha256 over the compiled JSON of ``CCS_CORPUS`` and 200 random recursive
+#: terms at unfold depth 4, in that order.
+GOLDEN_COMPILE_DIGEST = "f1691ab8b41374e3822991a18e5434c150f163ce1e96c3426d8c7caf8ca265b0"
+
+
+def test_compile_bytes_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for text in CCS_CORPUS + [random_rec_term(seed) for seed in range(200)]:
+        digest.update(_json(compile_text(text, ALPHA, 4)).encode())
+    assert digest.hexdigest() == GOLDEN_COMPILE_DIGEST
+
+
+@pytest.mark.parametrize(
+    "terms,depth",
+    [
+        (CCS_CORPUS, 8),
+        (RANDOM_SYNC_TERMS, 8),
+        ([random_rec_term(seed) for seed in range(200)], 4),
+    ],
+    ids=["corpus", "random-sync", "random-rec"],
+)
+def test_compiled_terms_satisfy_the_relations(terms, depth):
+    for text in terms:
+        K = compile_text(text, ALPHA, depth)
+        check_relations(K)
+        assert K.initial in K.vertices, text
+
+
+def test_compile_never_calls_colimit_presheaf(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("colimit_presheaf was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hdts" and hasattr(module, "colimit_presheaf"):
+            monkeypatch.setattr(module, "colimit_presheaf", refuse)
+    with pytest.raises(AssertionError, match="was called"):
+        random_precube_wedge(0)  # the patch is seen by callers
+    for text in CCS_CORPUS:
+        compile_text(text, ALPHA, 4)

@@ -21,9 +21,18 @@ from hdts import (
     standard_cube,
     truncate,
 )
-from corpus import check_shell, map_standard_cube, pattern_words, shell_word
+from corpus import (
+    check_shell,
+    map_standard_cube,
+    merging_colimit_presheaf,
+    _merging_quotient,
+    pattern_words,
+    random_wedge_diagram,
+    shell_word,
+)
+from hdts import precube
 from hdts.fixtures import double_square, not_strong_complex
-from hdts.precube import identity_precube_map
+from hdts.precube import glue, identity_precube_map
 from hdts.serialize import precube_to_json
 
 
@@ -266,6 +275,82 @@ def test_sh_reflect_handles_triple_square():
     reflected, _ = sh_reflect(out)
     assert iso_check_precube(reflected, full) is not None
     assert hda_check(reflected) == []
+
+
+# ---------------------------------------------------------------------------
+# gluing
+
+
+def frame_gluing(word, copies):
+    """``copies`` cubes on ``word`` glued along their common boundary."""
+    frame, full = boundary(word), standard_cube(word)
+    incl = PrecubeMap(frame, full, {(n, c): c for n in frame.dims() for c in frame.ncells(n)})
+    return [frame] + [full] * copies, [(0, i, incl) for i in range(1, copies + 1)]
+
+
+def decorated_gluing():
+    """A truncated edge whose ends are glued to two decorated points."""
+    edge = edge_precube("a")
+    edge = PrecubicalSet(edge.cells, edge.faces, {}, edge.labels, {0: "q", 1: "s"}, 0, True)
+    points = [PrecubicalSet({0: (0,)}, {}, {}, {}, {0: name}) for name in ("r", "p")]
+    arrows = [(1, 0, PrecubeMap(points[0], edge, {(0, 0): 1})),
+              (2, 0, PrecubeMap(points[1], edge, {(0, 0): 0}))]
+    return [edge] + points, arrows
+
+
+GLUINGS = [random_wedge_diagram(seed) for seed in range(8)] + [
+    frame_gluing(("a", "b"), 2),
+    frame_gluing(("a", "b"), 3),
+    frame_gluing(("a", "b", "c"), 2),
+    decorated_gluing(),
+]
+
+
+@pytest.mark.parametrize("objects,arrows", GLUINGS)
+def test_colimit_and_sh_reflect_match_the_merging_oracle(objects, arrows, monkeypatch):
+    out, cocones = colimit_presheaf(objects, arrows)
+    want, want_cocones = merging_colimit_presheaf(objects, arrows)
+    assert out == want
+    assert [f.cell_map for f in cocones] == [f.cell_map for f in want_cocones]
+    got, q = sh_reflect(out)
+    monkeypatch.setattr(precube, "_quotient", _merging_quotient)
+    want, want_q = sh_reflect(want)
+    assert got == want and q.cell_map == want_q.cell_map
+
+
+def test_colimit_keeps_the_least_decoration_and_the_truncated_flag():
+    out, _ = colimit_presheaf(*decorated_gluing())
+    assert out.decoration == {0: "p", 1: "r"} and out.truncated
+
+
+def _ids(K, dims=None):
+    return {(n, c): c for n in K.dims() for c in K.ncells(n) if dims is None or n in dims}
+
+
+def test_glue_rejects_merges_that_disagree():
+    a = standard_cube(("a",))
+    with pytest.raises(PrecubeError, match="labels"):
+        glue([(a, _ids(a)), (standard_cube(("b",)), _ids(a))])
+    with pytest.raises(PrecubeError, match="faces"):
+        glue([(a, _ids(a)), (a, {(0, 0): 1, (0, 1): 0, (1, 0): 0})])
+    # two fillers of one shell agree on labels and faces, not on their swaps
+    D = double_square()
+    _, x, y = hda_check(D)[0]
+    tops = {(2, x): 0, (2, y): 0}
+    tops.update(((2, c), k) for k, c in enumerate(sorted(set(D.ncells(2)) - {x, y}), 1))
+    with pytest.raises(PrecubeError, match="swaps"):
+        glue([(D, {**_ids(D, (0, 1)), **tops})])
+
+
+def test_glue_renumbers_drops_and_merges():
+    sq = standard_cube(("a", "b"))
+    edges = _ids(sq, (0, 1))
+    out = glue([(sq, edges), (sq, edges)], initial=0)
+    assert out == PrecubicalSet(
+        {0: sq.vertices, 1: sq.ncells(1)}, {k: v for k, v in sq.faces.items() if k[0] == 1}, {},
+        {k: v for k, v in sq.labels.items() if k[0] == 1}, {}, 0,
+    )
+    check_relations(out)
 
 
 # ---------------------------------------------------------------------------

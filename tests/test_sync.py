@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from corpus import (
     ALPHA,
     CCS_CORPUS,
+    RANDOM_SYNC_TERMS,
     _word_pair_entry,
     _word_pair_map,
     non_twisted,
     random_precube_wedge,
-    random_sync_term,
     sync_edges,
     word_keyed_tensor_sync,
 )
@@ -248,10 +248,6 @@ SYNC_TERMS = [t for t in CCS_CORPUS if "||" in t] + [
     "(nu a)(a.abar.nil || abar.a.nil)",
     "(nu b)(b.bbar.nil || (nu a)(a.nil || bbar.nil))",
 ]
-
-
-#: 200 seeds give 196 distinct terms; repeats are dropped so that test ids stay unique
-RANDOM_SYNC_TERMS = list(dict.fromkeys(random_sync_term(s) for s in range(200)))
 
 
 @pytest.mark.parametrize("term", SYNC_TERMS + RANDOM_SYNC_TERMS)
