@@ -92,23 +92,35 @@ _PAR, _SUM, _PREFIX = 0, 1, 2
 
 
 def term_str(t: ProcessTerm, level: int = _PAR) -> str:
-    if isinstance(t, Nil):
-        return "nil"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Prefix):
-        body = term_str(t.body, _PREFIX)
-        out, at = f"{t.label}.{body}", _PREFIX
-    elif isinstance(t, Restrict):
-        out, at = f"(nu {t.label}) {term_str(t.body, _PREFIX)}", _PREFIX
-    elif isinstance(t, Rec):
-        out, at = f"rec({t.var}) {term_str(t.body, _PREFIX)}", _PREFIX
-    elif isinstance(t, Sum):
-        out, at = f"{term_str(t.left, _SUM)} + {term_str(t.right, _SUM + 1)}", _SUM
-    elif isinstance(t, Par):
-        out, at = f"{term_str(t.left, _PAR)} || {term_str(t.right, _PAR + 1)}", _PAR
-    else:
-        raise TypeError(f"not a process term: {t!r}")
+    return _term_text(t, level, {})
+
+
+def _term_text(t: ProcessTerm, level: int, texts: dict) -> str:
+    """``term_str(t, level)``, with the unbracketed text and level of
+    every subterm kept in ``texts`` by ``id``.  Each entry holds its
+    term, so no id in ``texts`` can be reused while the dict lives."""
+    got = texts.get(id(t))
+    if got is None:
+        if isinstance(t, Nil):
+            out, at = "nil", _PREFIX
+        elif isinstance(t, Var):
+            out, at = t.name, _PREFIX
+        elif isinstance(t, Prefix):
+            out, at = f"{t.label}.{_term_text(t.body, _PREFIX, texts)}", _PREFIX
+        elif isinstance(t, Restrict):
+            out, at = f"(nu {t.label}) {_term_text(t.body, _PREFIX, texts)}", _PREFIX
+        elif isinstance(t, Rec):
+            out, at = f"rec({t.var}) {_term_text(t.body, _PREFIX, texts)}", _PREFIX
+        elif isinstance(t, Sum):
+            left = _term_text(t.left, _SUM, texts)
+            out, at = f"{left} + {_term_text(t.right, _SUM + 1, texts)}", _SUM
+        elif isinstance(t, Par):
+            left = _term_text(t.left, _PAR, texts)
+            out, at = f"{left} || {_term_text(t.right, _PAR + 1, texts)}", _PAR
+        else:
+            raise TypeError(f"not a process term: {t!r}")
+        got = texts[id(t)] = (t, out, at)
+    _, out, at = got
     return f"({out})" if at < level else out
 
 
@@ -347,7 +359,12 @@ def _filter_labels(sub: PrecubicalSet, banned: set[str]) -> PrecubicalSet:
 
 
 def semantics(
-    term: ProcessTerm, cfg: Alphabet, unfold_depth: int = 8, *, stages: tuple = ()
+    term: ProcessTerm,
+    cfg: Alphabet,
+    unfold_depth: int = 8,
+    *,
+    stages: tuple = (),
+    texts: dict | None = None,
 ) -> PrecubicalSet:
     """The decorated precubical set of a closed process term.
 
@@ -359,25 +376,29 @@ def semantics(
     those terms (identity, not hashing) is not compiled again.  Only
     this module passes ``stages``; the result does not depend on it,
     since the semantics of a closed term is a function of the term.
+    ``texts`` keeps the ``term_str`` of every subterm of one compile, by
+    identity, so each decoration is built once from its children's.
     """
     if unfold_depth < 0:
         raise ValueError("unfold depth must be non-negative")
+    if texts is None:
+        texts = {}
     for known, K in stages:
         if term is known:
             return K
     if isinstance(term, Par):
-        left = semantics(term.left, cfg, unfold_depth, stages=stages)
-        right = semantics(term.right, cfg, unfold_depth, stages=stages)
+        left = semantics(term.left, cfg, unfold_depth, stages=stages, texts=texts)
+        right = semantics(term.right, cfg, unfold_depth, stages=stages, texts=texts)
         return tensor_sync(left, right, cfg)
     if isinstance(term, Nil):
         out = _NIL
     elif isinstance(term, Prefix):
         cfg.check_label(term.label)
-        sub = semantics(term.body, cfg, unfold_depth, stages=stages)
+        sub = semantics(term.body, cfg, unfold_depth, stages=stages, texts=texts)
         out = _graft_prefix(term.label, sub)
     elif isinstance(term, Sum):
-        left = semantics(term.left, cfg, unfold_depth, stages=stages)
-        right = semantics(term.right, cfg, unfold_depth, stages=stages)
+        left = semantics(term.left, cfg, unfold_depth, stages=stages, texts=texts)
+        right = semantics(term.right, cfg, unfold_depth, stages=stages, texts=texts)
         out = _wedge(left, right)
     elif isinstance(term, Restrict):
         cfg.check_label(term.label)
@@ -385,15 +406,19 @@ def semantics(
         partner = cfg.bar(term.label)
         if partner is not None:
             banned.add(partner)
-        sub = semantics(term.body, cfg, unfold_depth, stages=stages)
+        sub = semantics(term.body, cfg, unfold_depth, stages=stages, texts=texts)
         out = _filter_labels(sub, banned)
     elif isinstance(term, Rec):
         stage_term: ProcessTerm = Nil()
-        stage = semantics(stage_term, cfg, unfold_depth, stages=stages)
+        stage = semantics(stage_term, cfg, unfold_depth, stages=stages, texts=texts)
         for _ in range(unfold_depth):
             next_term = subst(term.body, term.var, stage_term)
             nxt = semantics(
-                next_term, cfg, unfold_depth, stages=stages + ((stage_term, stage),)
+                next_term,
+                cfg,
+                unfold_depth,
+                stages=stages + ((stage_term, stage),),
+                texts=texts,
             )
             if iso_check_precube(stage, nxt, match_initial=True, match_decoration=True):
                 out = nxt
@@ -405,7 +430,8 @@ def semantics(
         raise PrecubeError("cannot interpret an open term")
     else:
         raise TypeError(f"not a process term: {term!r}")
-    return replace(out, decoration={**out.decoration, out.initial: term_str(term)})
+    decoration = {**out.decoration, out.initial: _term_text(term, _PAR, texts)}
+    return replace(out, decoration=decoration)
 
 
 def compile_text(text: str, cfg: Alphabet, unfold_depth: int = 8) -> PrecubicalSet:

@@ -120,7 +120,7 @@ def cmd_cubify(args) -> int:
         prefix = Path(args.out_prefix)
         prefix.parent.mkdir(parents=True, exist_ok=True)
         Path(f"{prefix}.complex.json").write_text(
-            serialize.dumps(serialize.precube_to_json(result.complex)), encoding="utf-8"
+            serialize.dumps(result.complex), encoding="utf-8"
         )
         Path(f"{prefix}.system.json").write_text(
             serialize.dumps(serialize.hdts_to_json(result.system)), encoding="utf-8"
@@ -142,7 +142,7 @@ def cmd_export(args) -> int:
     _check_labels(obj, kind, cfg)
     tau = cfg.tau if cfg is not None else serialize.DEFAULT_TAU
     if args.format == "json":
-        doc = serialize.hdts_to_json(obj) if kind == "hdts" else serialize.precube_to_json(obj)
+        doc = serialize.hdts_to_json(obj) if kind == "hdts" else obj
         _emit(serialize.dumps(doc), args.out)
     else:
         text = (
@@ -165,7 +165,7 @@ def cmd_ccs_compile(args) -> int:
     if K.truncated:
         print("warning: recursion truncated at the unfold bound", file=sys.stderr)
     if args.out == "json":
-        _emit(serialize.dumps(serialize.precube_to_json(K)), args.output)
+        _emit(serialize.dumps(K), args.output)
     else:
         _emit(serialize.precube_to_dot(K, cfg.tau), args.output)
     return 0
@@ -177,7 +177,7 @@ def cmd_fixtures(args) -> int:
             print(name)
         return 0
     kind, obj = fixtures.build_fixture(args.name)
-    doc = serialize.hdts_to_json(obj) if kind == "hdts" else serialize.precube_to_json(obj)
+    doc = serialize.hdts_to_json(obj) if kind == "hdts" else obj
     _emit(serialize.dumps(doc), args.out)
     return 0
 

@@ -1,14 +1,18 @@
 """JSON and DOT serialization.
 
 Readers are strict: any violation of the documented schemas (unsorted
-action multisets, dangling references, malformed words) is rejected
-with a path-qualified message.  Writers sort everything, so identical
-values produce byte-identical documents.
+action multisets, dangling references, malformed words, a JSON boolean
+where an integer belongs) is rejected with a path-qualified message.
+Writers sort everything, so identical values produce byte-identical
+documents.  A precubical set's document is written straight from its
+cell tables, row by row; its bytes are those of
+``json.dumps(precube_to_json(K), sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .alphabet import Alphabet
 from .core import Action, Transition, WeakHDTS
@@ -31,7 +35,21 @@ def _digits(key: str) -> bool:
     return key.isascii() and key.isdigit()
 
 
+def _int(x) -> bool:
+    """Is ``x`` a JSON integer?  ``bool`` is an ``int`` subclass, but
+    ``true`` and ``false`` are not ids."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def dumps(doc) -> str:
+    """``doc`` as sorted JSON indented by 2, with a final newline.
+
+    ``doc`` is a JSON value (dicts, lists, strings, numbers, booleans,
+    None) or a ``PrecubicalSet``.  A set is written straight from its
+    tables, to the bytes ``json.dumps`` gives for ``precube_to_json``.
+    """
+    if isinstance(doc, PrecubicalSet):
+        return _precube_text(doc)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -84,7 +102,7 @@ def hdts_to_json(X: WeakHDTS) -> dict:
 def hdts_from_json(doc) -> WeakHDTS:
     _need(isinstance(doc, dict), "$", "system must be an object")
     states = doc.get("states")
-    _need(isinstance(states, list) and all(isinstance(s, int) for s in states),
+    _need(isinstance(states, list) and all(_int(s) for s in states),
           "states", "must be a list of integers")
     _need(len(set(states)) == len(states), "states", "duplicate state ids")
     for key in ("actions", "transitions"):
@@ -94,7 +112,7 @@ def hdts_from_json(doc) -> WeakHDTS:
     for k, a in enumerate(doc.get("actions", ())):
         path = f"actions[{k}]"
         _need(isinstance(a, dict), path, "must be an object")
-        _need(isinstance(a.get("id"), int), f"{path}.id", "must be an integer")
+        _need(_int(a.get("id")), f"{path}.id", "must be an integer")
         _need(isinstance(a.get("label"), str), f"{path}.label", "must be a string")
         _need(a["id"] not in seen, f"{path}.id", "duplicate action id")
         seen.add(a["id"])
@@ -106,11 +124,11 @@ def hdts_from_json(doc) -> WeakHDTS:
         _need(isinstance(t, dict), path, "must be an object")
         acts = t.get("acts")
         _need(isinstance(acts, list) and acts, f"{path}.acts", "must be a non-empty list")
-        _need(all(isinstance(a, int) for a in acts), f"{path}.acts", "must hold integers")
+        _need(all(_int(a) for a in acts), f"{path}.acts", "must hold integers")
         _need(acts == sorted(acts), f"{path}.acts", "must be sorted ascending")
         _need(all(a in seen for a in acts), f"{path}.acts", "unknown action id")
         for end in ("src", "tgt"):
-            _need(isinstance(t.get(end), int), f"{path}.{end}", "must be an integer")
+            _need(_int(t.get(end)), f"{path}.{end}", "must be an integer")
             _need(t[end] in state_set, f"{path}.{end}", "unknown state id")
         transitions.append(Transition(t["src"], tuple(acts), t["tgt"]))
     return WeakHDTS(frozenset(states), tuple(actions), frozenset(transitions))
@@ -158,6 +176,67 @@ def precube_to_json(K: PrecubicalSet) -> dict:
     return doc
 
 
+_quote_json = json.encoder.encode_basestring_ascii  # the escaper of json.dumps
+
+
+@lru_cache(maxsize=None)
+def _row_template(n: int) -> tuple[str, tuple, tuple]:
+    """The %-template of an n-cell's row in ``dumps``'s precube text,
+    with the face keys (i, alpha) and swap keys i in the order of its
+    slots.  Keys sort as strings, as under ``sort_keys``: "10,0" comes
+    before "2,0".  Slots: faces, id, letters, swaps."""
+    pad = " " * 8
+    if n == 0:
+        return f"      {{\n{pad}\"id\": %s\n      }}", (), ()
+    letters = ",\n".join([f"{pad}  %s"] * n)
+    label = f"{pad}\"label\": [\n{letters}\n{pad}]"
+    if n == 1:
+        head = f"{pad}\"d10\": %s,\n{pad}\"d11\": %s,\n"
+        return f"      {{\n{head}{pad}\"id\": %s,\n{label}\n      }}", ((1, 0), (1, 1)), ()
+    faces = sorted(((i, alpha) for i in range(1, n + 1) for alpha in (0, 1)),
+                   key=lambda f: f"{f[0]},{f[1]}")
+    syms = sorted(range(1, n), key=str)
+    face_rows = ",\n".join(f"{pad}  \"{i},{alpha}\": %s" for i, alpha in faces)
+    sym_rows = ",\n".join(f"{pad}  \"{i}\": %s" for i in syms)
+    text = (
+        f"      {{\n{pad}\"faces\": {{\n{face_rows}\n{pad}}},\n{pad}\"id\": %s,\n"
+        f"{label},\n{pad}\"syms\": {{\n{sym_rows}\n{pad}}}\n      }}"
+    )
+    return text, tuple(faces), tuple(syms)
+
+
+def _precube_text(K: PrecubicalSet) -> str:
+    """``dumps(precube_to_json(K))``, written from ``K``'s tables.  Rows
+    are joined per dimension and the pieces once at the end, so the
+    text is held at most twice over."""
+    faces, syms, labels = K.faces, K.syms, K.labels
+    out = ["{\n"]
+    if K.decoration:
+        entries = sorted((str(v), _quote_json(d)) for v, d in K.decoration.items())
+        rows = ",\n".join(f'    "{v}": {d}' for v, d in entries)
+        out.append(f'  "decoration": {{\n{rows}\n  }},\n')
+    out.append('  "dims": {' if K.cells else '  "dims": {}')
+    sep = "\n"
+    for n in sorted(K.cells, key=str):
+        template, face_keys, sym_keys = _row_template(n)
+        rows = []
+        for c in K.cells[n]:
+            slots = [faces[n, c, i, alpha] for i, alpha in face_keys]
+            slots.append(c)
+            if n:
+                slots += map(_quote_json, labels[n, c])
+                slots += [syms[n, c, i] for i in sym_keys]
+            rows.append(template % tuple(slots))
+        out += (f'{sep}    "{n}": [\n', ",\n".join(rows), "\n    ]")
+        sep = ",\n"
+    if K.cells:
+        out.append("\n  }")
+    if K.initial is not None:
+        out.append(f',\n  "initial": {K.initial}')
+    out.append("\n}\n")
+    return "".join(out)
+
+
 def precube_from_json(doc) -> PrecubicalSet:
     _need(isinstance(doc, dict), "$", "precubical set must be an object")
     dims = doc.get("dims")
@@ -173,12 +252,12 @@ def precube_from_json(doc) -> PrecubicalSet:
         for k, row in enumerate(rows):
             path = f"dims.{key}[{k}]"
             _need(isinstance(row, dict), path, "must be an object")
-            _need(isinstance(row.get("id"), int), f"{path}.id", "must be an integer")
+            _need(_int(row.get("id")), f"{path}.id", "must be an integer")
             c = row["id"]
             ids.append(c)
             if n == 1:
                 for fld, (i, alpha) in (("d10", (1, 0)), ("d11", (1, 1))):
-                    _need(isinstance(row.get(fld), int), f"{path}.{fld}", "must be an integer")
+                    _need(_int(row.get(fld)), f"{path}.{fld}", "must be an integer")
                     faces[(1, c, i, alpha)] = row[fld]
             elif n >= 2:
                 fobj = row.get("faces")
@@ -190,13 +269,13 @@ def precube_from_json(doc) -> PrecubicalSet:
                         f"{path}.faces.{fk}",
                         "keys must look like 'i,alpha'",
                     )
-                    _need(isinstance(v, int), f"{path}.faces.{fk}", "must be an integer")
+                    _need(_int(v), f"{path}.faces.{fk}", "must be an integer")
                     faces[(n, c, int(parts[0]), int(parts[1]))] = v
                 sobj = row.get("syms", {})
                 _need(isinstance(sobj, dict), f"{path}.syms", "must be an object")
                 for sk, v in sobj.items():
                     _need(_digits(sk), f"{path}.syms.{sk}", "keys must be integers")
-                    _need(isinstance(v, int), f"{path}.syms.{sk}", "must be an integer")
+                    _need(_int(v), f"{path}.syms.{sk}", "must be an integer")
                     syms[(n, c, int(sk))] = v
             if n >= 1:
                 word = row.get("label")
@@ -217,7 +296,7 @@ def precube_from_json(doc) -> PrecubicalSet:
         decoration[int(vk)] = d
     initial = doc.get("initial")
     if initial is not None:
-        _need(isinstance(initial, int), "initial", "must be a vertex id")
+        _need(_int(initial), "initial", "must be a vertex id")
     K = PrecubicalSet(
         {n: tuple(ids) for n, ids in cells.items()}, faces, syms, labels, decoration, initial
     )

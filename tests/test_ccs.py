@@ -275,6 +275,13 @@ def test_compile_bytes_match_the_golden_digest():
     assert digest.hexdigest() == GOLDEN_COMPILE_DIGEST
 
 
+def test_compile_bytes_written_from_tables_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for text in CCS_CORPUS + [random_rec_term(seed) for seed in range(200)]:
+        digest.update(dumps(compile_text(text, ALPHA, 4)).encode())
+    assert digest.hexdigest() == GOLDEN_COMPILE_DIGEST
+
+
 @pytest.mark.parametrize(
     "terms,depth",
     [

@@ -109,6 +109,42 @@ def test_check_malformed_input_is_an_input_error(tmp_path, capsys, doc, path):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+EDGE_SYSTEM = (
+    '{"states": [0, %s], "actions": [{"id": %s, "label": "a"}], '
+    '"transitions": [{"src": %s, "acts": [%s], "tgt": %s}]}'
+)
+EDGE_PRECUBE = (
+    '{"dims": {"0": [{"id": 0}, {"id": %s}], '
+    '"1": [{"id": 0, "d10": 0, "d11": %s, "label": ["a"]}]}, "initial": %s}'
+)
+
+
+BOOLEAN_IDS = [
+    (EDGE_SYSTEM % ("true", 1, 0, 1, 1), "states"),
+    (EDGE_SYSTEM % (1, "true", 0, 1, 1), "actions[0].id"),
+    (EDGE_SYSTEM % (1, 1, 0, "true", 1), "transitions[0].acts"),
+    (EDGE_SYSTEM % (1, 1, "false", 1, 1), "transitions[0].src"),
+    (EDGE_SYSTEM % (1, 1, 0, 1, "true"), "transitions[0].tgt"),
+    (EDGE_PRECUBE % ("true", 1, 0), "dims.0[1].id"),
+    (EDGE_PRECUBE % (1, "true", 0), "dims.1[0].d11"),
+    (EDGE_PRECUBE % (1, 1, "false"), "initial"),
+    ('{"dims": {%s}}' % (SQUARE_ROWS % ('"1,0": true, "1,1": 0, "2,0": 0, "2,1": 0', '"1": 0')),
+     "dims.2[0].faces.1,0"),
+    ('{"dims": {%s}}' % (SQUARE_ROWS % (SQUARE_FACES, '"1": true')), "dims.2[0].syms.1"),
+]
+
+
+@pytest.mark.parametrize("doc,path", BOOLEAN_IDS, ids=[path for _, path in BOOLEAN_IDS])
+def test_json_booleans_are_not_ids(tmp_path, capsys, doc, path):
+    file = tmp_path / "bool.json"
+    file.write_text(doc, encoding="utf-8")
+    for command in (["check"], ["export", "--format", "json"]):
+        code = main([command[0], str(file)] + command[1:])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "labels,path",
     [([["x"], "tau"], "labels[0]"), ([1, "tau"], "labels[0]"), (["x", {"y": 1}], "labels[1]")],
@@ -300,6 +336,15 @@ def test_ccs_compile_long_unfolding_stays_within_the_stack(alphabet_file):
     assert len(json.loads(out)["dims"]["0"]) == 601
 
 
+def test_ccs_compile_unfolds_1500_stages(alphabet_file):
+    # each stage's decoration is built from the previous stage's text, so
+    # stages do not nest on the stack
+    code, out, err = _compile_in_fresh_process("rec(x) a.x", alphabet_file, "--unfold", "1500")
+    assert code == 0
+    assert err == "warning: recursion truncated at the unfold bound\n"
+    assert len(json.loads(out)["dims"]["0"]) == 1501
+
+
 def test_ccs_compile_long_prefix_chain(alphabet_file):
     code, out, err = _compile_in_fresh_process(".".join(["a"] * 900) + ".nil", alphabet_file)
     assert code == 0 and err == ""
@@ -319,9 +364,8 @@ def test_ccs_compile_long_closed_recursion_body(alphabet_file):
     [
         (".".join(["a"] * 3000) + ".nil", ()),
         ("(" * 250 + "a.nil" + ")" * 250, ()),
-        ("rec(x) a.x", ("--unfold", "1500")),
     ],
-    ids=["3000-prefixes", "250-parentheses", "unfold-1500"],
+    ids=["3000-prefixes", "250-parentheses"],
 )
 def test_ccs_compile_too_deep_is_an_input_error(alphabet_file, term, extra):
     code, out, err = _compile_in_fresh_process(term, alphabet_file, *extra)

@@ -70,8 +70,9 @@ SEEDS = [
 
 @st.composite
 def mutated(draw, seed):
-    """``seed`` with up to three nodes replaced by arbitrary JSON, dropped,
-    or (in an object) moved to a key that only looks right."""
+    """``seed`` with up to three nodes replaced by arbitrary JSON or by
+    ``true``/``false``, dropped, or (in an object) moved to a key that
+    only looks right."""
     doc = copy.deepcopy(seed)
     for _ in range(draw(st.integers(0, 3))):
         node = doc
@@ -81,15 +82,28 @@ def mutated(draw, seed):
             if isinstance(node[key], (dict, list)) and draw(st.integers(0, 3)):
                 node = node[key]
                 continue
-            how = draw(st.sampled_from(["junk", "drop", "rename"]))
+            how = draw(st.sampled_from(["junk", "bool", "drop", "rename"]))
             if how == "junk":
                 node[key] = draw(junk)
+            elif how == "bool":  # an equal boolean for 0 or 1 keeps the rest valid
+                node[key] = bool(node[key]) if node[key] in (0, 1) else draw(st.booleans())
             elif how == "drop" or isinstance(node, list):
                 del node[key]
             else:
                 node[draw(st.sampled_from(ODD_KEYS))] = node.pop(key)
             break
     return doc
+
+
+def _scalars(doc):
+    if isinstance(doc, dict):
+        for value in doc.values():
+            yield from _scalars(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _scalars(value)
+    else:
+        yield doc
 
 
 commands = st.sampled_from(
@@ -123,9 +137,13 @@ def test_cli_exits_0_1_or_2_and_raises_nothing(tmp_path, doc, alphabet, command)
     argv = [command[0], str(path)] + command[1:]
     if argv[-1] == "--alphabet":
         argv.append(str(alphabet_path))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+    if code == 0 and command[:3] == ["export", "--format", "json"]:
+        # an exported system or set holds ids and labels: no booleans
+        assert not any(isinstance(x, bool) for x in _scalars(json.loads(out.getvalue())))
 
 
 @st.composite

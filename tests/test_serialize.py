@@ -1,12 +1,15 @@
-"""JSON schemas, strict readers, DOT export."""
+"""JSON schemas, strict readers, DOT export, and the precube writer."""
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpus import ALPHA
-from hdts import cube, parallel_edges, standard_cube
+from corpus import ALPHA, CCS_CORPUS, RANDOM_SYNC_TERMS, pattern_words, random_rec_term
+from hdts import compile_text, cube, parallel_edges, standard_cube
 from hdts.fixtures import build_fixture, fixture_names, not_strong_complex
+from hdts.precube import EMPTY_PRECUBE, PrecubicalSet
 from hdts.serialize import (
     SchemaError,
     alphabet_from_json,
@@ -125,3 +128,75 @@ def test_dot_empty_graph():
 def test_dumps_is_deterministic():
     X = parallel_edges("a")
     assert dumps(hdts_to_json(X)) == dumps(hdts_to_json(parallel_edges("a")))
+
+
+# ---------------------------------------------------------------------------
+# the precube writer against json.dumps of the schema's dict form
+
+
+def assert_written_from_tables(K):
+    # dumps of a dict is json.dumps(..., sort_keys=True, indent=2) + "\n"
+    assert dumps(K) == dumps(precube_to_json(K))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [CCS_CORPUS, RANDOM_SYNC_TERMS, [random_rec_term(seed) for seed in range(200)]],
+    ids=["corpus", "random-sync", "random-rec"],
+)
+def test_compiled_precubes_are_written_as_json_dumps_writes_them(terms):
+    for text in terms:
+        assert_written_from_tables(compile_text(text, ALPHA, 4))
+
+
+def test_standard_cubes_are_written_as_json_dumps_writes_them():
+    """One word per pattern of repeated letters up to 5 letters, and one
+    6-letter word."""
+    for word in [w for n in range(6) for w in pattern_words(n)] + [("a", "b", "tau") * 2]:
+        assert_written_from_tables(standard_cube(word))
+
+
+def test_empty_and_undecorated_precubes_are_written_as_json_dumps_writes_them():
+    assert dumps(EMPTY_PRECUBE) == '{\n  "dims": {}\n}\n'
+    assert_written_from_tables(EMPTY_PRECUBE)
+    K = compile_text("a.nil + b.nil", ALPHA)
+    assert_written_from_tables(replace(K, initial=None))
+    assert_written_from_tables(replace(K, decoration={}))
+    assert_written_from_tables(not_strong_complex())
+
+
+#: strings json must escape: quotes, backslashes, control characters,
+#: non-ASCII text and a lone surrogate
+ODD_TEXT = st.lists(
+    st.sampled_from(["a", "tau", '"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u20ac",
+                     "\U0001f600", "\ud800", "%s"]),
+    max_size=3,
+).map("".join)
+CELL_IDS = st.integers(-3, 12)
+
+
+@st.composite
+def raw_precubes(draw):
+    """A ``PrecubicalSet`` of up to three dimensions in 0..11 with tables
+    drawn at random: the writer reads them without checking relations."""
+    cells = {
+        n: draw(st.lists(CELL_IDS, min_size=1, max_size=2, unique=True))
+        for n in draw(st.lists(st.integers(0, 11), max_size=3, unique=True))
+    }
+    faces, syms, labels = {}, {}, {}
+    for n, ids in cells.items():
+        for c in ids:
+            for i in range(1, n + 1):
+                faces[n, c, i, 0], faces[n, c, i, 1] = draw(st.tuples(CELL_IDS, CELL_IDS))
+            for i in range(1, n):
+                syms[n, c, i] = draw(CELL_IDS)
+            if n:
+                labels[n, c] = tuple(draw(st.lists(ODD_TEXT, min_size=n, max_size=n)))
+    decoration = draw(st.dictionaries(st.integers(-12, 12), ODD_TEXT, max_size=4))
+    return PrecubicalSet(cells, faces, syms, labels, decoration, draw(st.none() | CELL_IDS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(K=raw_precubes())
+def test_generated_precubes_are_written_as_json_dumps_writes_them(K):
+    assert_written_from_tables(K)

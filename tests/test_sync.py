@@ -333,6 +333,20 @@ def test_parallel_edges_keep_their_bytes(k, digest):
     assert hashlib.sha256(compile_json(p_term(k), P_ALPHA).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "k,digest",
+    [
+        (5, "c87792bc7fc2d81ad16998d1e0aba1ab3e8c4b14f41eb6b29b7f2d3d6ddbb5a0"),
+        (6, "935c980987f1e8d3b9dd44368dc9395aaefebefccdae20f999ed34811668d5cf"),
+    ],
+    ids=["k5", "k6"],
+)
+def test_parallel_edges_keep_their_bytes_written_from_tables(k, digest):
+    """The digests above, with the set written by ``dumps(K)``."""
+    K = ccs.semantics(ccs.parse(p_term(k), P_ALPHA), P_ALPHA)
+    assert hashlib.sha256(dumps(K).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_tensor_of_wedges_matches_word_keyed_oracle(seed):
     W = random_precube_wedge(seed)
