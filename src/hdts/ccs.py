@@ -5,15 +5,21 @@ Grammar (prefix binds tighter than +, + tighter than ||):
     P ::= nil | a.P | (nu a) P | P + P | P || P | rec(x) P | x
 
 Identifiers are [a-z][a-zA-Z0-9_]*; ``a^-`` names the involution
-partner of ``a``.  Recursion variables must be guarded by a prefix.
+partner of ``a``.  Recursion variables must be bound and guarded by a
+prefix inside their binder; the parser checks both as it reads each
+variable.
 
 The semantics builds, by induction on the term, a decorated precubical
 set with a distinguished initial vertex: a prefix grafts one edge in
 front, a sum is a wedge at the initial vertices, restriction keeps the
-cells whose label word avoids the restricted pair, parallel composition
-is the synchronized tensor product, and recursion unfolds until two
-consecutive stages are isomorphic (initial and decorations included) or
-a depth bound is hit, in which case the result is flagged truncated.
+cells whose label word avoids the restricted pair, and parallel
+composition is the synchronized tensor product.  ``rec(x) P`` is read
+off the term: if ``x`` is not free in ``P`` the body is its own
+fixpoint, and otherwise the term is unfolded to a depth bound and the
+result flagged truncated.  No stage of a guarded unfolding can equal
+the one before, since each holds the previous stage under a prefix and
+no operator loses vertices: a prefix adds one, a sum of l and r has
+l + r - 1, restriction keeps every vertex and a product multiplies.
 Prefix, sum and restriction each renumber cells with one
 ``precube.glue`` call, and the initial vertex of every result but a
 parallel composition is decorated with its term.
@@ -30,7 +36,7 @@ from dataclasses import dataclass, replace
 from itertools import count
 
 from .alphabet import Alphabet
-from .precube import PrecubeError, PrecubicalSet, glue, iso_check_precube, standard_cube
+from .precube import PrecubeError, PrecubicalSet, glue, standard_cube
 from .sync import tensor_sync
 
 
@@ -183,10 +189,17 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent that also checks scope and guardedness as it
+    goes: ``binders`` maps each bound variable to the number of prefixes
+    open at its innermost ``rec``, and a variable is guarded where more
+    prefixes are open than that."""
+
     def __init__(self, text: str, cfg: Alphabet):
         self.tokens = _tokenize(text)
         self.cfg = cfg
         self.k = 0
+        self.binders: dict[str, int] = {}
+        self.prefixes = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -245,8 +258,13 @@ class _Parser:
             if var[1] in _KEYWORDS:
                 raise CcsSyntaxError(f"{var[1]!r} cannot name a variable", var[2])
             self.expect(")")
+            outer = self.binders.get(var[1])
+            self.binders[var[1]] = self.prefixes
             body = self.parse_prefix()
-            _check_guarded(body, var[1], pos)
+            if outer is None:
+                del self.binders[var[1]]
+            else:
+                self.binders[var[1]] = outer
             return Rec(var[1], body)
         if kind == "(" and self.tokens[self.k + 1][:2] == ("ident", "nu"):
             self.next()
@@ -261,7 +279,10 @@ class _Parser:
             if after in (".", "inv"):
                 label = self.label()
                 self.expect(".")
-                return Prefix(label, self.parse_prefix())
+                self.prefixes += 1
+                body = self.parse_prefix()
+                self.prefixes -= 1
+                return Prefix(label, body)
         return self.parse_atom()
 
     def parse_atom(self) -> ProcessTerm:
@@ -269,6 +290,11 @@ class _Parser:
         if kind == "ident" and val == "nil":
             return Nil()
         if kind == "ident" and val not in _KEYWORDS:
+            bound_at = self.binders.get(val)
+            if bound_at is None:
+                raise CcsSyntaxError(f"unbound variable {val!r}", pos)
+            if bound_at == self.prefixes:
+                raise CcsSyntaxError(f"recursion variable {val!r} must be guarded", pos)
             return Var(val)
         if kind == "(":
             t = self.parse_par()
@@ -277,43 +303,10 @@ class _Parser:
         raise CcsSyntaxError(f"unexpected token {val!r}", pos)
 
 
-def _check_guarded(t: ProcessTerm, var: str, pos: int, guarded: bool = False) -> None:
-    if isinstance(t, Var):
-        if t.name == var and not guarded:
-            raise CcsSyntaxError(f"recursion variable {var!r} must be guarded", pos)
-    elif isinstance(t, Prefix):
-        _check_guarded(t.body, var, pos, True)
-    elif isinstance(t, Restrict):
-        _check_guarded(t.body, var, pos, guarded)
-    elif isinstance(t, (Sum, Par)):
-        _check_guarded(t.left, var, pos, guarded)
-        _check_guarded(t.right, var, pos, guarded)
-    elif isinstance(t, Rec):
-        if t.var != var:
-            _check_guarded(t.body, var, pos, guarded)
-
-
-def _free_vars(t: ProcessTerm, bound=frozenset()) -> set[str]:
-    if isinstance(t, Var):
-        return set() if t.name in bound else {t.name}
-    if isinstance(t, (Nil,)):
-        return set()
-    if isinstance(t, (Prefix, Restrict)):
-        return _free_vars(t.body, bound)
-    if isinstance(t, (Sum, Par)):
-        return _free_vars(t.left, bound) | _free_vars(t.right, bound)
-    if isinstance(t, Rec):
-        return _free_vars(t.body, bound | {t.var})
-    raise TypeError(f"not a process term: {t!r}")
-
-
 def parse(text: str, cfg: Alphabet) -> ProcessTerm:
-    """Parse a closed process term over the configured alphabet."""
-    term = _Parser(text, cfg).parse()
-    free = _free_vars(term)
-    if free:
-        raise CcsSyntaxError(f"unbound variable {sorted(free)[0]!r}", 0)
-    return term
+    """Parse a closed process term over the configured alphabet, every
+    recursion variable guarded by a prefix inside its binder."""
+    return _Parser(text, cfg).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +361,10 @@ def semantics(
 ) -> PrecubicalSet:
     """The decorated precubical set of a closed process term.
 
-    Recursion is approximated by bounded unfolding; if the stages never
-    stabilize within ``unfold_depth`` steps the last stage is returned
-    with its ``truncated`` flag set.  Each stage is built from the
+    ``rec(x) P`` is the semantics of ``P`` when ``x`` is not free in
+    ``P``; otherwise it is the ``unfold_depth``-th stage of its unfolding
+    (``nil``, then ``P`` with ``x`` replaced by the previous stage) with
+    its ``truncated`` flag set.  Each stage is built from the
     previous one: ``stages`` holds the (term, set) pair of the current
     stage of every enclosing recursion, and a subterm that *is* one of
     those terms (identity, not hashing) is not compiled again.  Only
@@ -413,17 +407,17 @@ def semantics(
         stage = semantics(stage_term, cfg, unfold_depth, stages=stages, texts=texts)
         for _ in range(unfold_depth):
             next_term = subst(term.body, term.var, stage_term)
-            nxt = semantics(
+            stage = semantics(
                 next_term,
                 cfg,
                 unfold_depth,
                 stages=stages + ((stage_term, stage),),
                 texts=texts,
             )
-            if iso_check_precube(stage, nxt, match_initial=True, match_decoration=True):
-                out = nxt
+            if next_term is term.body:  # no free var: the body is its own fixpoint
+                out = stage
                 break
-            stage_term, stage = next_term, nxt
+            stage_term = next_term
         else:
             out = replace(stage, truncated=True)
     elif isinstance(term, Var):

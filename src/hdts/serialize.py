@@ -30,9 +30,12 @@ def _need(cond: bool, path: str, msg: str) -> None:
         raise SchemaError(f"{path}: {msg}")
 
 
-def _digits(key: str) -> bool:
-    """Is ``key`` a decimal integer that ``int`` reads (ASCII digits only)?"""
-    return key.isascii() and key.isdigit()
+def _int_key(key: str, signed: bool = False) -> bool:
+    """Is ``key`` a plain integer, as ``str`` writes it: ASCII digits with
+    no leading zero, after a minus sign only if ``signed``?  ``"05"`` and
+    ``"5"`` would otherwise name one id, and the later key would win."""
+    digits = key[1:] if signed and key.startswith("-") else key
+    return digits.isascii() and digits.isdigit() and str(int(key)) == key
 
 
 def _int(x) -> bool:
@@ -243,8 +246,8 @@ def precube_from_json(doc) -> PrecubicalSet:
     _need(isinstance(dims, dict), "dims", "must be an object")
     cells: dict[int, list[int]] = {}
     faces, syms, labels = {}, {}, {}
-    for key in sorted(dims, key=lambda s: int(s) if _digits(s) else -1):
-        _need(_digits(key), f"dims.{key}", "dimension keys must be integers")
+    for key in sorted(dims, key=lambda s: int(s) if _int_key(s) else -1):
+        _need(_int_key(key), f"dims.{key}", "dimension keys must be plain integers")
         n = int(key)
         rows = dims[key]
         _need(isinstance(rows, list), f"dims.{key}", "must be a list of cells")
@@ -265,7 +268,7 @@ def precube_from_json(doc) -> PrecubicalSet:
                 for fk, v in fobj.items():
                     parts = fk.split(",")
                     _need(
-                        len(parts) == 2 and _digits(parts[0]) and parts[1] in ("0", "1"),
+                        len(parts) == 2 and _int_key(parts[0]) and parts[1] in ("0", "1"),
                         f"{path}.faces.{fk}",
                         "keys must look like 'i,alpha'",
                     )
@@ -274,7 +277,7 @@ def precube_from_json(doc) -> PrecubicalSet:
                 sobj = row.get("syms", {})
                 _need(isinstance(sobj, dict), f"{path}.syms", "must be an object")
                 for sk, v in sobj.items():
-                    _need(_digits(sk), f"{path}.syms.{sk}", "keys must be integers")
+                    _need(_int_key(sk), f"{path}.syms.{sk}", "keys must be plain integers")
                     _need(_int(v), f"{path}.syms.{sk}", "must be an integer")
                     syms[(n, c, int(sk))] = v
             if n >= 1:
@@ -291,7 +294,7 @@ def precube_from_json(doc) -> PrecubicalSet:
     decoration = {}
     _need(isinstance(doc.get("decoration", {}), dict), "decoration", "must be an object")
     for vk, d in doc.get("decoration", {}).items():
-        _need(_digits(vk.removeprefix("-")), f"decoration.{vk}", "keys must be vertex ids")
+        _need(_int_key(vk, signed=True), f"decoration.{vk}", "keys must be vertex ids")
         _need(isinstance(d, str), f"decoration.{vk}", "must be a string")
         decoration[int(vk)] = d
     initial = doc.get("initial")

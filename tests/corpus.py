@@ -7,8 +7,10 @@ the axiom oracle scans once per axiom, the cubification oracle
 composes a morphism between cube systems for every face and swap, the
 cube oracles build and validate one encoding per composite, the gluing
 oracles merge union-find classes cell by cell and rebuild and recheck
-each compiled set whole, and the random closed systems are closed by
-the library only as a final step (they are not valid inputs otherwise).
+each compiled set whole, the scope oracle parses a term by the grammar
+alone and then walks it for free and unguarded variables, and the
+random closed systems are closed by the library only as a final step
+(they are not valid inputs otherwise).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from hdts import (
     transition,
 )
 from hdts.alphabet import DEFAULT_ALPHABET
+from hdts.ccs import _KEYWORDS, Nil, Par, Prefix, Rec, Restrict, Sum, Var, _Parser
 from hdts.core import (
     StructureError,
     _Index,
@@ -963,6 +966,68 @@ def random_rec_term(seed: int) -> str:
         return f"({term(half, bound, guarded)} + {term(size - 1 - half, bound, guarded)})"
 
     return f"rec(x) {term(rng.randint(3, 6), frozenset('x'), frozenset())}"
+
+
+class _GrammarParser(_Parser):
+    """The process-term grammar alone: a variable parses whether it is
+    bound and guarded or not."""
+
+    def parse_atom(self):
+        kind, val, _ = self.peek()
+        if kind == "ident" and val not in _KEYWORDS:
+            self.next()
+            return Var(val)
+        return super().parse_atom()
+
+
+def grammar_parse(text, cfg):
+    return _GrammarParser(text, cfg).parse()
+
+
+def _free_vars(t, bound=frozenset()):
+    if isinstance(t, Var):
+        return set() if t.name in bound else {t.name}
+    if isinstance(t, Nil):
+        return set()
+    if isinstance(t, (Prefix, Restrict)):
+        return _free_vars(t.body, bound)
+    if isinstance(t, (Sum, Par)):
+        return _free_vars(t.left, bound) | _free_vars(t.right, bound)
+    return _free_vars(t.body, bound | {t.var})
+
+
+def _unguarded(t, var, guarded=False):
+    """Does ``var`` occur free in ``t`` outside every prefix?"""
+    if isinstance(t, Var):
+        return t.name == var and not guarded
+    if isinstance(t, Prefix):
+        return _unguarded(t.body, var, True)
+    if isinstance(t, Restrict):
+        return _unguarded(t.body, var, guarded)
+    if isinstance(t, (Sum, Par)):
+        return _unguarded(t.left, var, guarded) or _unguarded(t.right, var, guarded)
+    if isinstance(t, Rec):
+        return t.var != var and _unguarded(t.body, var, guarded)
+    return False
+
+
+def _recs(t):
+    if isinstance(t, Rec):
+        yield t
+    if isinstance(t, (Prefix, Restrict, Rec)):
+        yield from _recs(t.body)
+    elif isinstance(t, (Sum, Par)):
+        yield from _recs(t.left)
+        yield from _recs(t.right)
+
+
+def scope_defects(term):
+    """The defects the parser used to find in a grammatical term after
+    parsing it, with one walk for its free variables and one per
+    ``rec`` for its unguarded variable: a set of ``("unbound", name)``
+    and ``("unguarded", name)`` pairs, empty for a term it accepted."""
+    unguarded = {("unguarded", r.var) for r in _recs(term) if _unguarded(r.body, r.var)}
+    return {("unbound", name) for name in _free_vars(term)} | unguarded
 
 
 # ---------------------------------------------------------------------------

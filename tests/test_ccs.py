@@ -87,6 +87,37 @@ def test_parse_errors_carry_positions():
         parse("zz9.nil", ALPHA)
     with pytest.raises(CcsSyntaxError, match="unbound"):
         parse("a.x", ALPHA)
+    # scope errors point at the variable itself
+    with pytest.raises(CcsSyntaxError) as exc:
+        parse("a.nil + b.y", ALPHA)
+    assert str(exc.value) == "unbound variable 'y' (at position 10)"
+    text = "rec(x) (a.nil + x)"
+    with pytest.raises(CcsSyntaxError) as exc:
+        parse(text, ALPHA)
+    assert str(exc.value) == f"recursion variable 'x' must be guarded (at position {text.rindex('x')})"
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("rec(x) a.rec(x) x", "recursion variable 'x' must be guarded (at position 16)"),
+        ("rec(x) (rec(x) a.x + x)", "recursion variable 'x' must be guarded (at position 21)"),
+        ("rec(x) a.rec(y) (x + b.y) + y", "unbound variable 'y' (at position 28)"),
+        ("rec(x) (nu a) (b.x || x)", "recursion variable 'x' must be guarded (at position 22)"),
+    ],
+)
+def test_parse_scopes_binders_and_prefixes(text, error):
+    # an inner rec(x) shadows the outer x and unguards it anew; a prefix
+    # guards every variable bound outside it, until its body ends
+    with pytest.raises(CcsSyntaxError) as exc:
+        parse(text, ALPHA)
+    assert str(exc.value) == error
+
+
+def test_parse_accepts_shadowed_and_outer_guarded_variables():
+    assert parse("rec(x) rec(x) a.x", ALPHA) == Rec("x", Rec("x", Prefix("a", Var("x"))))
+    t = parse("rec(x) a.rec(y) (x + b.y)", ALPHA)
+    assert t == Rec("x", Prefix("a", Rec("y", Sum(Var("x"), Prefix("b", Var("y"))))))
 
 
 @pytest.mark.parametrize("text", CCS_CORPUS)
@@ -167,6 +198,15 @@ def test_semantics_recursion_stabilizes_when_variable_is_dead():
     assert cell_counts(K) == [2, 1]
 
 
+def test_semantics_recursion_with_a_dead_variable_needs_one_unfolding():
+    term = parse("rec(x) a.nil", ALPHA)
+    K = semantics(term, ALPHA, 1)
+    assert not K.truncated
+    assert _json(K) == _json(semantics(term, ALPHA, 8))
+    nil = semantics(term, ALPHA, 0)
+    assert nil.truncated and cell_counts(nil) == [1]
+
+
 def test_semantics_recursion_truncates_when_infinite():
     K = compile_text("rec(x) a.x", ALPHA, unfold_depth=4)
     assert K.truncated
@@ -239,14 +279,18 @@ STAGE_CASES = [("rec(x) (a.x + b.x)", depth) for depth in range(8)] + [
 def test_stage_reuse_matches_scratch_compile(text, depth):
     term = parse(text, ALPHA_E)
     K = semantics(term, ALPHA_E, depth)
-    assert _json(K) == _json(scratch_semantics(term, ALPHA_E, depth))
+    scratch = scratch_semantics(term, ALPHA_E, depth)
+    assert _json(K) == _json(scratch)
+    assert K.truncated == scratch.truncated
     check_relations(K)
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_stage_reuse_matches_scratch_compile_on_random_terms(seed):
     term = parse(random_rec_term(seed), ALPHA)
-    assert _json(semantics(term, ALPHA, 4)) == _json(scratch_semantics(term, ALPHA, 4))
+    K, scratch = semantics(term, ALPHA, 4), scratch_semantics(term, ALPHA, 4)
+    assert _json(K) == _json(scratch)
+    assert K.truncated == scratch.truncated
 
 
 def test_each_stage_is_compiled_once(monkeypatch):
@@ -309,3 +353,20 @@ def test_compile_never_calls_colimit_presheaf(monkeypatch):
         random_precube_wedge(0)  # the patch is seen by callers
     for text in CCS_CORPUS:
         compile_text(text, ALPHA, 4)
+
+
+def test_compile_never_calls_iso_check_precube(monkeypatch):
+    # rec stops on its term: a body without its variable is its own
+    # fixpoint, and no stage of a guarded unfolding repeats
+    def refuse(*args, **kwargs):
+        raise AssertionError("iso_check_precube was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hdts" and hasattr(module, "iso_check_precube"):
+            monkeypatch.setattr(module, "iso_check_precube", refuse)
+    with pytest.raises(AssertionError, match="was called"):
+        scratch_semantics(parse("rec(x) a.nil", ALPHA), ALPHA)  # the patch is seen by callers
+    for text in CCS_CORPUS:
+        compile_text(text, ALPHA, 4)
+    for text, depth in STAGE_CASES:
+        compile_text(text, ALPHA_E, depth)

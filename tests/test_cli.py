@@ -109,6 +109,29 @@ def test_check_malformed_input_is_an_input_error(tmp_path, capsys, doc, path):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "doc,path",
+    [
+        ('{"dims": {"0": [{"id": 0}], "00": [{"id": 5}, {"id": 6}]}, '
+         '"decoration": {"5": "x", "05": "y"}}', "dims.00"),
+        ('{"dims": {"0": [{"id": 5}]}, "decoration": {"5": "x", "05": "y"}}', "decoration.05"),
+        ('{"dims": {%s}}' % (SQUARE_ROWS % ('"1,0": 0, "01,0": 0, "1,1": 0, "2,0": 0, "2,1": 0',
+                                           '"1": 0')), "dims.2[0].faces.01,0"),
+        ('{"dims": {%s}}' % (SQUARE_ROWS % (SQUARE_FACES, '"1": 0, "01": 0')), "dims.2[0].syms.01"),
+    ],
+    ids=["dimension", "decoration", "face", "swap"],
+)
+@pytest.mark.parametrize("command", [["check"], ["export", "--format", "json"]])
+def test_integer_keys_with_leading_zeros_are_input_errors(tmp_path, capsys, doc, path, command):
+    # "05" and "5" read as one integer: the later key would silently win
+    file = tmp_path / "bad.json"
+    file.write_text(doc, encoding="utf-8")
+    code = main([command[0], str(file)] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
 EDGE_SYSTEM = (
     '{"states": [0, %s], "actions": [{"id": %s, "label": "a"}], '
     '"transitions": [{"src": %s, "acts": [%s], "tgt": %s}]}'
@@ -275,6 +298,23 @@ def test_ccs_compile_syntax_error(alphabet_file, capsys):
     assert "guarded" in capsys.readouterr().err
 
 
+def test_ccs_compile_dead_recursion_variable_does_not_warn(alphabet_file, capsys):
+    # a body without its variable is its own fixpoint after one unfolding
+    outs = {}
+    for unfold in ("1", "8"):
+        argv = ["ccs", "compile", "rec(x) a.nil", "--alphabet", alphabet_file, "--unfold", unfold]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs[unfold] = captured.out
+    assert outs["1"] == outs["8"]
+    argv = ["ccs", "compile", "rec(x) a.nil", "--alphabet", alphabet_file, "--unfold", "0"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: recursion truncated at the unfold bound\n"
+    assert json.loads(captured.out)["dims"] == {"0": [{"id": 0}]}
+
+
 def test_ccs_compile_truncation_warns(alphabet_file, capsys):
     code = main(
         ["ccs", "compile", "rec(x) a.x", "--alphabet", alphabet_file, "--unfold", "3"]
@@ -352,7 +392,7 @@ def test_ccs_compile_long_prefix_chain(alphabet_file):
 
 
 def test_ccs_compile_long_closed_recursion_body(alphabet_file):
-    # the fixpoint test compares two stages of 1,201 cells each
+    # a body without its variable is compiled once, as its own fixpoint
     term = "rec(x) " + ".".join(["a"] * 600) + ".nil"
     code, out, err = _compile_in_fresh_process(term, alphabet_file, "--unfold", "2")
     assert code == 0 and err == ""

@@ -7,17 +7,24 @@ moved to a key that looks like an integer but is not.  Process terms
 are guarded terms over a, abar, b and tau, some with a few characters
 or tokens dropped or inserted.  Whatever the input, ``check``,
 ``realize``, ``cubify``, ``export`` and ``ccs compile`` must exit 0, 1
-or 2 and raise nothing.
+or 2 and raise nothing; ``ccs compile`` writes at most the truncation
+warning on success and one ``error:`` line on an input error.  The
+same terms check that ``parse`` finds the scope errors the old
+after-parse walks found.
 """
 
 import contextlib
 import copy
 import io
 import json
+import re
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hdts import DEFAULT_ALPHABET, cube, make_precube, standard_cube
+from corpus import grammar_parse, scope_defects
+from hdts import DEFAULT_ALPHABET, cube, make_precube, parse, standard_cube
+from hdts.ccs import CcsSyntaxError
 from hdts.cli import main
 from hdts.serialize import alphabet_to_json, hdts_to_json, precube_to_json
 
@@ -191,6 +198,18 @@ def mutated_term(draw):
     return text
 
 
+@st.composite
+def dropped_prefix_term(draw):
+    """A generated term with one prefix dropped, which may leave a
+    variable unguarded."""
+    text = draw(terms())
+    spans = [m.span() for m in re.finditer(r"\b(?:abar|a|b|tau)\.", text)]
+    if not spans:
+        return text
+    start, end = draw(st.sampled_from(spans))
+    return text[:start] + text[end:]
+
+
 def at_most_two_pars(text):
     return text.count("||") <= 2
 
@@ -210,9 +229,52 @@ def test_ccs_compile_exits_0_1_or_2_and_raises_nothing(tmp_path, term, unfold, o
     alphabet_path = tmp_path / "alphabet.json"
     alphabet_path.write_text(json.dumps(alphabet_to_json(DEFAULT_ALPHABET)), encoding="utf-8")
     argv = ["ccs", "compile", term, "--alphabet", str(alphabet_path), "--unfold", unfold, "--out", out]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects a term that reads as an option
-            code = exc.code
+            assert exc.code == 2 and "Traceback" not in err.getvalue()
+            assert ": error: " in err.getvalue().splitlines()[-1]
+            return
     assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() in ("", "warning: recursion truncated at the unfold bound\n")
+    elif code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+
+
+SCOPE_ERROR = re.compile(
+    r"(?:unbound variable '(\w+)'|recursion variable '(\w+)' must be guarded) \(at position (\d+)\)"
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(term=terms() | mutated_term() | dropped_prefix_term())
+def test_parse_finds_the_scope_errors_the_two_walkers_found(term):
+    """``parse`` checks scope and guardedness as it reads each variable;
+    ``scope_defects`` walks the grammar's tree afterwards, as ``parse``
+    once did.  A term is accepted by one iff by the other, and a scope
+    error names one of the defects the walkers find, at a token that
+    is that variable."""
+    try:
+        tree = grammar_parse(term, DEFAULT_ALPHABET)
+    except CcsSyntaxError as grammar_error:
+        # the grammar fails at a later token unless a variable fails first
+        with pytest.raises(CcsSyntaxError) as exc:
+            parse(term, DEFAULT_ALPHABET)
+        if str(exc.value) != str(grammar_error):
+            assert SCOPE_ERROR.fullmatch(str(exc.value))
+            assert exc.value.position < grammar_error.position
+        return
+    defects = scope_defects(tree)
+    if not defects:
+        assert parse(term, DEFAULT_ALPHABET) == tree
+        return
+    with pytest.raises(CcsSyntaxError) as exc:
+        parse(term, DEFAULT_ALPHABET)
+    unbound, unguarded, position = SCOPE_ERROR.fullmatch(str(exc.value)).groups()
+    name = unbound or unguarded
+    assert ("unbound" if unbound else "unguarded", name) in defects
+    assert re.match(r"[a-z][a-zA-Z0-9_]*", term[int(position):]).group() == name

@@ -96,6 +96,51 @@ def test_precube_reader_rejects_non_object_decoration():
         precube_from_json(doc)
 
 
+def _add_dimension_key(doc):
+    doc["dims"]["00"] = [{"id": 7}]
+
+
+def _add_face_key(doc):
+    doc["dims"]["2"][0]["faces"]["01,0"] = 1
+
+
+def _add_swap_key(doc):
+    doc["dims"]["2"][0]["syms"]["01"] = 0
+
+
+def _add_decoration_key(key):
+    def mutate(doc):
+        doc["decoration"] = {"0": "x", key: "y"}
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate,path",
+    [
+        (_add_dimension_key, "dims.00"),
+        (_add_face_key, "dims.2[0].faces.01,0"),
+        (_add_swap_key, "dims.2[0].syms.01"),
+        (_add_decoration_key("00"), "decoration.00"),
+        (_add_decoration_key("-0"), "decoration.-0"),
+        (_add_decoration_key("-05"), "decoration.-05"),
+    ],
+    ids=["dimension", "face", "swap", "decoration", "decoration-minus-0", "decoration-minus-05"],
+)
+def test_precube_reader_rejects_integer_keys_with_leading_zeros(mutate, path):
+    # "00" and "0" would read as one integer, and the later key would win
+    doc = precube_to_json(standard_cube(("a", "b")))
+    mutate(doc)
+    with pytest.raises(SchemaError) as exc:
+        precube_from_json(doc)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_precube_reader_keeps_negative_decoration_keys():
+    doc = {"dims": {"0": [{"id": -5}, {"id": 10}]}, "decoration": {"-5": "x", "10": "y"}}
+    assert precube_from_json(doc).decoration == {-5: "x", 10: "y"}
+
+
 def test_detect_kind():
     assert detect_kind(hdts_to_json(cube(()))) == "hdts"
     assert detect_kind(precube_to_json(standard_cube(()))) == "precube"
