@@ -2,8 +2,9 @@
 
 Commands: check, realize, cubify, export, ccs compile, fixtures.
 Exit codes: 0 success / all axioms pass, 1 axiom failure, 2 input
-error, a term that nests too deeply to compile included.  All output
-is deterministic: identical inputs give byte-identical bytes.
+error (a term that nests too deeply or whose parallel product is too
+large to compile included), 3 internal error.  All output is
+deterministic: identical inputs give byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ def _load_json(path: str):
         raise _InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise _InputError(f"{path} nests too deeply to read")
 
 
 def _load_alphabet(path: str | None) -> Alphabet | None:
@@ -262,6 +265,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, never an axiom verdict
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

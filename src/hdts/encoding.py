@@ -54,6 +54,14 @@ class CubeEncoding:
             raise NotCubeMapError(
                 "entries must be constants or source coordinates, each source coordinate read once"
             )
+        # computed once: rows are hashed and asked for identity in inner loops
+        object.__setattr__(self, "_hash", hash((self.m, self.n, fhat)))
+        object.__setattr__(
+            self, "is_identity", self.m == self.n and fhat == tuple(range(1, self.n + 1))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def apply(self, eps: Sequence[int]) -> tuple[int, ...]:
         out = []
@@ -72,10 +80,6 @@ class CubeEncoding:
             if v == i:
                 return j
         raise KeyError(i)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.m == self.n and self.fhat == tuple(range(1, self.n + 1))
 
 
 @lru_cache(maxsize=None)

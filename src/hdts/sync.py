@@ -1,51 +1,42 @@
 """Synchronized products of labelled symmetric precubical sets.
 
-Three constructions stack up here.  The fibered product of two
-1-dimensional sets runs both components side by side and adds one
-silent edge for every pair of edges with complementary labels.  The
-directed coskeleton fills a 1-dimensional set whose vertex set is a
-cube of corners with every higher cube whose vertex map is non-twisted
-and whose edges can be chosen consistently.  The synchronized tensor
-product interprets parallel composition.  It is the colimit, over all
-pairs (c, d) of a cell of each factor, of the pair entries E(c, d) (the
-directed coskeleton of the fibered product of the skeletons of the
-cubes [dim c] and [dim d]), glued along face inclusions and swap
-isomorphisms.
+The fibered product of two 1-dimensional sets runs both components
+side by side and adds one silent edge for every pair of edges with
+complementary labels.  The directed coskeleton fills a 1-dimensional
+set whose vertex set is a cube of corners with every higher cube whose
+vertex map is non-twisted and whose edges can be chosen consistently.
+The synchronized tensor product interprets parallel composition: the
+colimit, over all pairs (c, d) of a cell of each factor, of the pair
+entries E(c, d) (the directed coskeleton of the fibered product of the
+skeletons of the cubes [dim c] and [dim d]), glued along face
+inclusions and swap isomorphisms.
 
-That colimit is built without gluing, and its pair entries without a
-search.  A cell of E(c, d) is *interior* when its vertices vary in
-every coordinate of both cubes.  An interior n-cell is a direction
-table: it moves each coordinate of the two cubes along one of its n
-directions, and each direction moves one coordinate of one cube, or one
-coordinate of each cube whose labels are partners (a silent step).  Its
-face (i, alpha) fixes the coordinates of direction i at alpha: that is
-an interior cell of the entry of a face pair, carried in by the face
-inclusion, and every boundary cell of E(c, d) arises so exactly once.
-A swap exchanges two directions, interior onto interior.  So every cell
-of the colimit comes from an interior cell of a pair (c, d) with c
-least in its swap orbit and d least in its swap orbit, and two such
-cells meet exactly when an element of the stabilizer of (c, d) maps one
-to the other.  The output has one cell per such class, numbered per
-dimension by (c, d) and then by the class's least entry cell: this is
-the class's least (pair, entry cell) tag, the numbering the colimit
-gives.
+That colimit is built without gluing or search.  A cell of E(c, d) is
+*interior* when its vertices vary in every coordinate of both cubes: a
+direction table, which moves each coordinate along one of its n
+directions, each direction moving one coordinate of one cube or a
+partner pair (a silent step).  Its face (i, alpha) fixes direction i
+at alpha, an interior cell of the entry of a face pair, and every
+boundary cell arises so exactly once; a swap exchanges two directions.
+So the colimit has one cell per interior cell of a pair of least cells
+of swap orbits, up to the pair's stabilizer, numbered per dimension by
+the pair and then by the class's least entry cell.
 
-A pair entry depends on its two label words only through their shape:
-the word lengths, which letters are equal, which are silent and which
-are partners under the involution.  Pair entries are therefore built
-once per shape, over words renamed in order of first occurrence, and
-cached for the life of the process; each product relabels its cells
-back to its own words.  The cell maps between pair entries along
-permutations of the two cubes reindex direction tables, read no labels,
-and are cached by the two shapes and the two permutations.
+An entry depends on its label words only through their shape (lengths,
+equal, silent and partner letters), so entries are built once per shape
+over renamed words and cached for the process, as are the cell maps
+between entries along permutations of the cubes, which reindex tables.
+All else lives for one product: each face of an output cell is a
+lookup in a table of output ids built once per pair and dimension.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .alphabet import Alphabet
 from .encoding import (
@@ -256,25 +247,24 @@ class _PairEntry:
     """The interior cells of a shape's pair entry, as direction tables.
 
     An interior n-cell of the entry of words u and v, of lengths k and
-    l, is a table that gives each of the k + l coordinates (those of u,
-    then those of v) a direction in 1..n.  The fiber of each direction
-    is one coordinate of u, one coordinate of v, or a partner pair: a
-    coordinate i of u and a coordinate j of v with bar(u_i) = v_j,
-    labelled silent.  Per dimension, a cell is its index in ``tables``,
-    which lists the tables in the order of the coskeleton's cell ids.
-    Per cell, ``labels`` has a letter per direction, ``swaps`` has the
-    cell with directions i and i + 1 exchanged (i = 1..n-1), and
-    ``faces`` has, for i = 1..n and alpha = 0, 1, the order-preserving
-    faces of [k] and [l] that fix the fiber of direction i at alpha,
-    and the cell with direction i dropped in the entry of the face
-    shape.
+    l, gives each of the k + l coordinates (those of u, then those of v)
+    a direction in 1..n, whose fiber is one coordinate of u, one of v,
+    or a partner pair (i, j) with bar(u_i) = v_j, labelled silent.  Per
+    dimension, a cell is its index in ``tables``, in the coskeleton's
+    order.  Per cell, ``labels`` has a letter per direction, ``swaps``
+    the cell with directions i and i + 1 exchanged, and ``faces``, for
+    i = 1..n and alpha = 0, 1, a pair (slot, z): ``pairs[n][slot]`` are
+    the order-preserving faces of [k] and [l] that fix the fiber of
+    direction i at alpha, and z is the cell with direction i dropped in
+    the entry of the face shape.
     """
 
     tables: Mapping[int, tuple[tuple[int, ...], ...]]  # dim -> tables, in cell order
     index: Mapping[int, Mapping[tuple[int, ...], int]]  # dim -> table -> cell
     labels: Mapping[int, tuple[tuple[str, ...], ...]]
     swaps: Mapping[int, tuple[tuple[int, ...], ...]]
-    faces: Mapping[int, tuple[tuple[tuple[CubeEncoding, CubeEncoding, int], ...], ...]]
+    pairs: Mapping[int, tuple[tuple[CubeEncoding, CubeEncoding], ...]]  # dim -> face-map pairs
+    faces: Mapping[int, tuple[tuple[tuple[int, int], ...], ...]]  # dim -> per cell (slot, z)
 
 
 #: The silent letter of a renamed word pair; other letters become "0", "1", ...
@@ -326,10 +316,12 @@ def _restrict_cell(Z: PrecubicalSet, cell: tuple[int, int], face: CubeEncoding) 
     return n, c
 
 
-def _moves(word_k: tuple, word_l: tuple, cfg: Alphabet) -> list[tuple[tuple[int, ...], ...]]:
-    """Every split of the coordinates of ``word_k + word_l`` into moves,
-    the fibers of the directions of a cell: single coordinates, and
-    partner pairs (i, k + j) with k = len(word_k)."""
+def _moves(shape: tuple) -> list[tuple[tuple[int, ...], ...]]:
+    """Every split of the coordinates of the two words of ``shape`` into
+    moves, the fibers of the directions of a cell: single coordinates,
+    and partner pairs (i, k + j) with k the length of the first word."""
+    word_k, word_l, pairs = shape
+    partners = {*pairs, *((b, a) for a, b in pairs)}
     k, out = len(word_k), []
 
     def grow(i, free, moves):
@@ -338,7 +330,7 @@ def _moves(word_k: tuple, word_l: tuple, cfg: Alphabet) -> list[tuple[tuple[int,
             return
         grow(i + 1, free, moves + ((i,),))
         for j in free:
-            if cfg.bar(word_k[i]) == word_l[j]:
+            if (word_k[i], word_l[j]) in partners:
                 grow(i + 1, tuple(x for x in free if x != j), moves + ((i, k + j),))
 
     grow(0, tuple(range(len(word_l))), ())
@@ -364,7 +356,7 @@ def _shape_entry(shape: tuple) -> _PairEntry:
     cfg = Alphabet(frozenset(word_k + word_l + (_TAU,)), _TAU, pairs)
     k, letters = len(word_k), word_k + word_l
     found: dict[int, list] = {}
-    for moves in _moves(word_k, word_l, cfg):
+    for moves in _moves(shape):
         n = len(moves)
         word = [_TAU if len(move) == 2 else letters[move[0]] for move in moves]
         for order in itertools.permutations(range(1, n + 1)):
@@ -375,7 +367,7 @@ def _shape_entry(shape: tuple) -> _PairEntry:
             label = tuple(w for _, w in sorted(zip(order, word)))
             found.setdefault(n, []).append((tuple(table), label))
 
-    tables, index, labels, swaps, faces = {}, {}, {}, {}, {}
+    tables, index, labels, swaps, pairs, faces = {}, {}, {}, {}, {}, {}
     face_entries: dict[tuple, _PairEntry] = {}
     for n in sorted(found):
         cells = sorted(
@@ -385,7 +377,7 @@ def _shape_entry(shape: tuple) -> _PairEntry:
         labels[n] = tuple(w for _, w in cells)
         index[n] = {t: x for x, t in enumerate(tables[n])}
         swaps[n] = tuple(tuple(index[n][_swap(t, i)] for i in range(1, n)) for t in tables[n])
-        rows = []
+        rows, slots = [], {}
         for t in tables[n]:
             row = []
             for i in range(1, n + 1):
@@ -398,27 +390,31 @@ def _shape_entry(shape: tuple) -> _PairEntry:
                     face_entries[fixed] = _shape_entry(_shape(sub_k, sub_l, cfg)[0])
                 z = face_entries[fixed].index[n - 1][tuple(d - (d > i) for d in t if d != i)]
                 for alpha in (0, 1):
-                    row.append((_fixing(k, fk, alpha), _fixing(len(word_l), fl, alpha), z))
+                    pair = (_fixing(k, fk, alpha), _fixing(len(word_l), fl, alpha))
+                    row.append((slots.setdefault(pair, len(slots)), z))
             rows.append(tuple(row))
-        faces[n] = tuple(rows)
-    return _PairEntry(tables, index, labels, swaps, faces)
+        pairs[n], faces[n] = tuple(slots), tuple(rows)
+    return _PairEntry(tables, index, labels, swaps, pairs, faces)
+
+
+@lru_cache(maxsize=1024)
+def _entry_size(shape: tuple) -> int:
+    """The number of interior cells of the entry of ``shape``, without
+    building them: n! orderings of each split into n moves."""
+    return sum(math.factorial(len(moves)) for moves in _moves(shape))
 
 
 @lru_cache(maxsize=8192)
-def _pair_map(src_shape: tuple, dst_shape: tuple, enc_k: CubeEncoding, enc_l: CubeEncoding) -> dict:
-    """The cell map between the entries of two shapes along permutations
-    ``enc_k`` and ``enc_l`` of the two cubes, as a reindexing of tables:
+def _pair_map(src_shape, dst_shape, enc_k: CubeEncoding, enc_l: CubeEncoding, n: int) -> tuple:
+    """The cell map between the n-cells of the entries of two shapes
+    along permutations ``enc_k`` and ``enc_l`` of the two cubes: the
+    image of each source cell, by position.  It reindexes tables:
     coordinate r of the image reads the direction of source coordinate
-    ``fhat[r]``, for ``fhat`` the two coordinate tables side by side.
-    It serves every word pair of the two shapes.  Callers share the
-    returned dict and must not change it."""
-    dst = _shape_entry(dst_shape)
+    ``fhat[r]``, for ``fhat`` the two coordinate tables side by side,
+    so it reads no labels and serves every word pair of the two shapes."""
+    index = _shape_entry(dst_shape).index[n]
     fhat = enc_k.fhat + tuple(enc_k.m + c for c in enc_l.fhat)
-    return {
-        (n, x): dst.index[n][tuple(t[c - 1] for c in fhat)]
-        for n, ts in _shape_entry(src_shape).tables.items()
-        for x, t in enumerate(ts)
-    }
+    return tuple(index[tuple(t[c - 1] for c in fhat)] for t in _shape_entry(src_shape).tables[n])
 
 
 def _orbits(Z: PrecubicalSet):
@@ -456,20 +452,25 @@ def _orbits(Z: PrecubicalSet):
     return rep, stab
 
 
+#: The most cells a product may have before stabilizers are divided out
+#: (its entry sizes, summed); the 7-fold product of edges has 37,200.
+MAX_PRODUCT_CELLS = 50_000
+
+
 def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> PrecubicalSet:
     """Synchronized tensor product of two labelled symmetric precubical sets.
 
-    Its n-cells are the interior n-cells (direction tables) of the pair
-    entries E(c, d), for c least in its swap orbit in ``K`` and d least
-    in its swap orbit in ``L``, taken up to the stabilizer of (c, d).
-    They are numbered per dimension by (dim c, c, dim d, d), then by the
-    least table of the class, which is the numbering of the colimit of
-    all entries (see the module docstring).  A cell's swaps are its
-    swaps in the entry.  Face (i, alpha) is a table of the entry of the
-    face pair that fixes the fiber of direction i at alpha; it is
-    carried through ``_pair_map`` along the permutations from that pair
-    to the least pair of its orbits.  When both factors carry an
-    initial vertex or decorations, the result is decorated pairwise.
+    Its n-cells are the interior n-cells of the entries E(c, d), for c
+    and d least in their swap orbits, up to the stabilizer of (c, d),
+    numbered per dimension by (dim c, c, dim d, d), then by the class's
+    least table (the colimit's numbering, see the module docstring).
+    Swaps are the entry's.  Face (i, alpha) is a slot, naming face maps
+    of c and d, and a cell of the face pair's entry; per pair and
+    dimension each slot is resolved once to the output id of every such
+    cell, by restricting c and d, moving to the least pair of their
+    orbits and reindexing by ``_pair_map``.  More than
+    ``MAX_PRODUCT_CELLS`` cells raise ``PrecubeError`` before any is
+    built.  Decorations and initial vertices pair up.
     """
     if not K.vertices or not L.vertices:
         return EMPTY_PRECUBE
@@ -483,67 +484,81 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
             shapes[words] = _shape(*words, cfg)
         return shapes[words]
 
-    # number the stabilizer classes of interior cells, least pair first
-    ids: dict[tuple, dict[tuple[int, int], int]] = {}
-    classes: dict[int, list[tuple]] = {}
-    for ko in sorted(kstab):
-        for lo in sorted(lstab):
-            shape, letters = shape_of(ko, lo)
-            entry = _shape_entry(shape)
-            gens = [_pair_map(shape, shape, s, identity_encoding(lo[0])) for s in kstab[ko]]
-            gens += [_pair_map(shape, shape, identity_encoding(ko[0]), t) for t in lstab[lo]]
-            here = ids[(ko, lo)] = {}
-            for p, xs in entry.tables.items():
-                out = classes.setdefault(p, [])
-                for x in range(len(xs)):
-                    if (p, x) in here:
-                        continue
-                    here[(p, x)] = len(out)
-                    orbit = [x]
+    reps = [(ko, lo, *shape_of(ko, lo)) for ko in sorted(kstab) for lo in sorted(lstab)]
+    size = sum(_entry_size(shape) for _, _, shape, _ in reps)
+    if size > MAX_PRODUCT_CELLS:
+        raise PrecubeError(f"parallel product too large: {size} cells, over {MAX_PRODUCT_CELLS}")
+    reps = [(ko, lo, shape, letters, _shape_entry(shape)) for ko, lo, shape, letters in reps]
+
+    # number the stabilizer classes, least pair first: ids[(c, d)][p][x] is the output
+    # cell of p-cell x of the entry, least[(c, d)][p] the least cell of each class;
+    # ids holds lists, not ranges, so that the faces naming a cell share its int
+    ids: dict[tuple, dict[int, Sequence[int]]] = {}
+    least: dict[tuple, dict[int, Sequence[int]]] = {}
+    counts: dict[int, int] = {}
+    for ko, lo, shape, _, entry in reps:
+        here, firsts = ids[(ko, lo)], least[(ko, lo)] = {}, {}
+        for p, xs in entry.tables.items():
+            start = counts[p] = counts.get(p, 0)
+            if not (kstab[ko] or lstab[lo]):  # a trivial stabilizer: one class per cell
+                here[p], firsts[p] = list(range(start, start + len(xs))), range(len(xs))
+                counts[p] += len(xs)
+                continue
+            gens = [_pair_map(shape, shape, s, identity_encoding(lo[0]), p) for s in kstab[ko]]
+            gens += [_pair_map(shape, shape, identity_encoding(ko[0]), t, p) for t in lstab[lo]]
+            out, firsts[p] = [None] * len(xs), []
+            for x in range(len(xs)):
+                if out[x] is None:
+                    firsts[p].append(x)
+                    out[x], orbit = counts[p], [x]
                     for y in orbit:
                         for g in gens:
-                            if (p, g[(p, y)]) not in here:
-                                here[(p, g[(p, y)])] = len(out)
-                                orbit.append(g[(p, y)])
-                    out.append((ko, lo, entry, letters, x))
+                            if out[g[y]] is None:
+                                out[g[y]] = counts[p]
+                                orbit.append(g[y])
+                    counts[p] += 1
+            here[p] = out
 
-    def cell_id(ko, lo, n, face):
-        """The output cell of a face (face map, face map, cell) of an
-        interior cell of the entry of (ko, lo)."""
-        enc_k, enc_l, z = face
-        kc, lc = _restrict_cell(K, ko, enc_k), _restrict_cell(L, lo, enc_l)
-        (kr, kpi), (lr, lpi) = krep[kc], lrep[lc]
-        kr, lr = (kc[0], kr), (lc[0], lr)
-        if not (kpi.is_identity and lpi.is_identity):
-            z = _pair_map(shape_of(kc, lc)[0], shape_of(kr, lr)[0], kpi, lpi)[(n, z)]
-        return ids[(kr, lr)][(n, z)]
+    # (cell, face map) -> (restriction, least cell of its orbit, permutation),
+    # one memo per factor since K is L happens
+    memo_k, memo_l = {}, {}
+
+    def restrict(Z, rep, memo, cell, face):
+        c = _restrict_cell(Z, cell, face)
+        return memo.setdefault((cell, face), (c, (c[0], rep[c][0]), rep[c][1]))
+
+    def resolve(ko, lo, n, enc_k, enc_l) -> Sequence[int]:
+        """The output ids of the n-cells of the face pair's entry along the two maps."""
+        kc, kr, kpi = memo_k.get((ko, enc_k)) or restrict(K, krep, memo_k, ko, enc_k)
+        lc, lr, lpi = memo_l.get((lo, enc_l)) or restrict(L, lrep, memo_l, lo, enc_l)
+        out = ids[(kr, lr)][n]
+        if kpi.is_identity and lpi.is_identity:
+            return out
+        return [out[y] for y in _pair_map(shape_of(kc, lc)[0], shape_of(kr, lr)[0], kpi, lpi, n)]
 
     faces, syms, labels = {}, {}, {}
-    for p, out in classes.items():
-        for k, (ko, lo, entry, letters, x) in enumerate(out):
-            if p:
-                labels[(p, k)] = tuple(letters[a] for a in entry.labels[p][x])
-            for j, face in enumerate(entry.faces[p][x]):
-                faces[(p, k, j // 2 + 1, j % 2)] = cell_id(ko, lo, p - 1, face)
-            for i, s in enumerate(entry.swaps[p][x], 1):
-                syms[(p, k, i)] = ids[(ko, lo)][(p, s)]
-    cells = {p: tuple(range(len(out))) for p, out in classes.items()}
+    for p in sorted(counts):
+        keys = [(i, alpha) for i in range(1, p + 1) for alpha in (0, 1)]
+        for ko, lo, _, letters, entry in (r for r in reps if p in r[4].tables):
+            here, words, swaps = ids[(ko, lo)][p], entry.labels[p], entry.swaps[p]
+            resolved = [resolve(ko, lo, p - 1, *pair) for pair in entry.pairs[p]]
+            for x in least[(ko, lo)][p]:
+                k = here[x]
+                if p:
+                    labels[(p, k)] = tuple(map(letters.__getitem__, words[x]))
+                for (i, alpha), (slot, z) in zip(keys, entry.faces[p][x]):
+                    faces[(p, k, i, alpha)] = resolved[slot][z]
+                for i, s in enumerate(swaps[x], 1):
+                    syms[(p, k, i)] = here[s]
+    cells = {p: range(count) for p, count in sorted(counts.items())}
 
     def pair_vertex(u, v) -> int:
-        return ids[((0, u), (0, v))][(0, 0)]
+        return ids[((0, u), (0, v))][0][0]
 
-    decoration = {}
-    for u in K.vertices:
-        du = K.decoration.get(u)
-        if du is None:
-            continue
-        for v in L.vertices:
-            dv = L.decoration.get(v)
-            if dv is not None:
-                decoration[pair_vertex(u, v)] = f"{du} || {dv}"
-    initial = None
-    if K.initial is not None and L.initial is not None:
-        initial = pair_vertex(K.initial, L.initial)
-    return PrecubicalSet(
-        cells, faces, syms, labels, decoration, initial, K.truncated or L.truncated
-    )
+    decoration = {
+        pair_vertex(u, v): f"{K.decoration[u]} || {L.decoration[v]}"
+        for u in K.vertices if u in K.decoration for v in L.vertices if v in L.decoration
+    }
+    initial = None if K.initial is None or L.initial is None else pair_vertex(K.initial, L.initial)
+    truncated = K.truncated or L.truncated
+    return PrecubicalSet(cells, faces, syms, labels, decoration, initial, truncated)

@@ -298,6 +298,37 @@ def test_ccs_compile_syntax_error(alphabet_file, capsys):
     assert "guarded" in capsys.readouterr().err
 
 
+def test_ccs_compile_too_large_a_product_is_an_input_error(alphabet_file, capsys):
+    # "+" binds tighter than "||": 21 components, whose product would
+    # outgrow memory; the product bound stops it before it is built
+    term = " + ".join(["a.b.nil || c.nil"] * 20)
+    code = main(["ccs", "compile", term, "--alphabet", alphabet_file])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: parallel product too large: ") and err.count("\n") == 1
+
+
+def test_check_too_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code = main(["check", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path} nests too deeply to read\n"
+
+
+def test_an_internal_error_exits_3_with_one_line(fixture_file, monkeypatch, capsys):
+    import hdts.cli
+
+    def crash(system):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(hdts.cli, "validate", crash)
+    code = main(["check", fixture_file("cube_ab")])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError('boom\\nsecond line')\n"
+
+
 def test_ccs_compile_dead_recursion_variable_does_not_warn(alphabet_file, capsys):
     # a body without its variable is its own fixpoint after one unfolding
     outs = {}

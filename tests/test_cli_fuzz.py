@@ -9,7 +9,8 @@ or tokens dropped or inserted.  Whatever the input, ``check``,
 ``realize``, ``cubify``, ``export`` and ``ccs compile`` must exit 0, 1
 or 2 and raise nothing; ``ccs compile`` writes at most the truncation
 warning on success and one ``error:`` line on an input error.  The
-same terms check that ``parse`` finds the scope errors the old
+same terms, and terms whose variables stand anywhere under or outside
+their binders, check that ``parse`` finds the scope errors the old
 after-parse walks found.
 """
 
@@ -250,9 +251,31 @@ SCOPE_ERROR = re.compile(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(term=terms() | mutated_term() | dropped_prefix_term())
-def test_parse_finds_the_scope_errors_the_two_walkers_found(term):
+@st.composite
+def scoped_terms(draw, bound=(), depth=5):
+    """A term whose variables stand anywhere under their binders, behind
+    a prefix or not, and now and then outside every binder.  Binders
+    draw from two names, so an inner ``rec`` often shadows an outer one."""
+    kinds = ["nil"] + ["var"] * (3 if bound else 1)
+    if depth:
+        kinds += ["prefix", "prefix", "sum", "sum", "par", "nu", "rec", "rec"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "nil":
+        return "nil"
+    if kind == "var":
+        return draw(st.sampled_from(list(bound) * 4 + ["x", "y"]))
+    if kind == "prefix":
+        return f"{draw(st.sampled_from(LABELS))}.{draw(scoped_terms(bound, depth - 1))}"
+    if kind in ("sum", "par"):
+        left, right = draw(scoped_terms(bound, depth - 1)), draw(scoped_terms(bound, depth - 1))
+        return f"({left} {'+' if kind == 'sum' else '||'} {right})"
+    if kind == "nu":
+        return f"(nu {draw(st.sampled_from(['a', 'b']))}) {draw(scoped_terms(bound, depth - 1))}"
+    var = draw(st.sampled_from(["x", "y"]))
+    return f"rec({var}) {draw(scoped_terms(bound + (var,), depth - 1))}"
+
+
+def check_scope_errors(term):
     """``parse`` checks scope and guardedness as it reads each variable;
     ``scope_defects`` walks the grammar's tree afterwards, as ``parse``
     once did.  A term is accepted by one iff by the other, and a scope
@@ -278,3 +301,15 @@ def test_parse_finds_the_scope_errors_the_two_walkers_found(term):
     name = unbound or unguarded
     assert ("unbound" if unbound else "unguarded", name) in defects
     assert re.match(r"[a-z][a-zA-Z0-9_]*", term[int(position):]).group() == name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(term=terms() | mutated_term() | dropped_prefix_term())
+def test_parse_finds_the_scope_errors_the_two_walkers_found(term):
+    check_scope_errors(term)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(term=scoped_terms())
+def test_parse_finds_the_scope_errors_of_freely_placed_variables(term):
+    check_scope_errors(term)

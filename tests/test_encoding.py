@@ -231,3 +231,28 @@ def test_faces_and_swaps_are_rows():
             assert id(face_encoding(i, 0, n)) in rows and id(face_encoding(i, 1, n)) in rows
             if i < n:
                 assert id(sym_encoding(i, n)) in rows
+
+
+def test_cached_hash_and_identity_match_their_definitions():
+    """A row computes its hash and ``is_identity`` once; both must be
+    the dataclass's definitions, on every row up to dimension 4 and on
+    encodings the constructor builds, as ``unrealize_cube_map`` does."""
+    from hdts.realize import realize_cube_map, unrealize_cube_map
+
+    def check(enc):
+        assert hash(enc) == hash((enc.m, enc.n, enc.fhat))
+        assert enc.is_identity == (enc.m == enc.n and enc.fhat == tuple(range(1, enc.n + 1)))
+
+    for n in range(5):
+        for m in range(n + 1):
+            for enc in all_encodings(m, n):
+                check(enc)
+                fresh = CubeEncoding(m, n, list(enc.fhat))
+                check(fresh)
+                assert fresh == enc and hash(fresh) == hash(enc)
+    word = ("a", "b", "a")
+    for m in range(4):
+        for enc in all_encodings(m, 3):
+            got = unrealize_cube_map(realize_cube_map(enc, word_along(word, enc), word))
+            check(got)
+            assert got == enc and got is not enc

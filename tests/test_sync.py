@@ -375,17 +375,24 @@ def test_tensor_identifies_interiors_under_the_stabilizer():
         assert precube_to_json(out) == precube_to_json(word_keyed_tensor_sync(K, L, ALPHA))
 
 
-def reversed_ids(K, n):
-    """``K`` with its n-cells numbered backwards."""
-    top = len(K.ncells(n)) - 1
+def renumbered(K, perm):
+    """``K`` with each n-cell c renamed ``perm[n][c]``."""
 
     def f(d, c):
-        return top - c if d == n else c
+        return perm[d][c]
 
     faces = {(d, f(d, c), i, a): f(d - 1, v) for (d, c, i, a), v in K.faces.items()}
     syms = {(d, f(d, c), i): f(d, v) for (d, c, i), v in K.syms.items()}
     labels = {(d, f(d, c)): w for (d, c), w in K.labels.items()}
-    return PrecubicalSet(K.cells, faces, syms, labels)
+    decoration = {f(0, v): text for v, text in K.decoration.items()}
+    initial = None if K.initial is None else f(0, K.initial)
+    return PrecubicalSet(K.cells, faces, syms, labels, decoration, initial)
+
+
+def reversed_ids(K, n):
+    """``K`` with its n-cells numbered backwards."""
+    top = len(K.ncells(n)) - 1
+    return renumbered(K, {d: {c: top - c if d == n else c for c in K.ncells(d)} for d in K.dims()})
 
 
 @pytest.mark.parametrize("word,other", [(("a", "b", "abar"), ("abar",)), (("a", "a", "b"), ("b",))])
@@ -480,7 +487,7 @@ def check_entry_against_the_coskeleton(word_k, word_l, cfg, got, letters):
                 for alpha in (0, 1):
                     [hit] = hits[(d - 1, pc.face(d, c, i, alpha))]
                     want.append(hit)
-            assert got.faces[d][x] == tuple(want)
+            assert tuple(got.pairs[d][slot] + (z,) for slot, z in got.faces[d][x]) == tuple(want)
     for d in pc.dims():
         for c in pc.ncells(d):
             if (d, c) not in rank:
@@ -523,3 +530,44 @@ LETTERS = st.sampled_from(["a", "abar", "b", "tau"])
 def test_closed_form_entries_match_the_coskeleton_on_generated_words(word_k, word_l):
     shape, letters = sync._shape(word_k, word_l, ALPHA)
     check_entry_against_the_coskeleton(word_k, word_l, ALPHA, sync._shape_entry(shape), letters)
+
+
+@st.composite
+def shuffled(draw, K):
+    """``K`` with the cells of each dimension renumbered by a drawn permutation."""
+    rng = draw(st.randoms(use_true_random=False))
+    perm = {d: dict(zip(K.ncells(d), rng.sample(K.ncells(d), len(K.ncells(d))))) for d in K.dims()}
+    return renumbered(K, perm)
+
+
+def cubes(max_len, min_len=0):
+    words = st.lists(LETTERS, min_size=min_len, max_size=max_len)
+    return words.map(lambda w: standard_cube(tuple(w)))
+
+
+WEDGES = st.integers(0, 40).map(random_precube_wedge)
+SQUARE = st.just(self_swapped_square())
+
+#: factor pairs by pattern, each factor renumbered; the oracle glues every
+#: entry, so products stay small
+FACTOR_PAIRS = {
+    "wedge-edge": st.tuples(WEDGES.flatmap(shuffled), cubes(1).flatmap(shuffled)),
+    # a 3-cube's squares come in swap orbits of two, so some faces of its
+    # least 3-cell are not least in their orbits: they go through _pair_map
+    "three-cube": st.tuples(cubes(3, 3).flatmap(shuffled), cubes(0)),
+    # the square that is its own swap has a stabilizer
+    "self-swapped": st.tuples(SQUARE.flatmap(shuffled), (cubes(1) | SQUARE).flatmap(shuffled)),
+    "same-set": (WEDGES.filter(lambda W: W.dim <= 1) | cubes(1) | SQUARE)
+    .flatmap(shuffled)
+    .map(lambda K: (K, K)),
+}
+
+
+@pytest.mark.parametrize("pattern", FACTOR_PAIRS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tensor_of_renumbered_factors_matches_word_keyed_oracle(pattern, data):
+    pair = data.draw(FACTOR_PAIRS[pattern])
+    K, L = data.draw(st.sampled_from([pair, pair[::-1]]))
+    want = precube_to_json(word_keyed_tensor_sync(K, L, ALPHA))
+    assert precube_to_json(tensor_sync(K, L, ALPHA)) == want
