@@ -52,7 +52,6 @@ from .precube import (
     PrecubeError,
     PrecubeMap,
     PrecubicalSet,
-    Shell,
     boundary,
     check_relations,
     colimit_presheaf,
@@ -61,7 +60,6 @@ from .precube import (
     iso_check_precube,
     make_precube,
     sh_reflect,
-    shell_of,
     standard_cube,
     truncate,
 )

@@ -313,7 +313,7 @@ def parse(text: str, cfg: Alphabet) -> ProcessTerm:
 # semantics
 
 
-_NIL = PrecubicalSet({0: (0,)}, {}, {}, {}, initial=0)
+_NIL = replace(standard_cube(()), initial=0)
 
 
 def _graft_prefix(label: str, sub: PrecubicalSet) -> PrecubicalSet:

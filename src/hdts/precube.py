@@ -1,18 +1,22 @@
 """Finite labelled symmetric precubical sets.
 
-Cells are integers, one id space per dimension.  A set stores, per
-n-cell, the 2n boundary cells, the n-1 coordinate swaps (total for
-n >= 2), and a word of n labels.  The face/swap tables must satisfy the
-boundary, swap and mixed exchange relations of the symmetric cube
-shapes, and the label word must track them: dropping a face removes the
-corresponding letter, swapping coordinates swaps adjacent letters.
-``check_relations`` verifies all of this cellwise.
+Cells are integers, one id space per dimension.  A set stores each
+n-cell as one row in each of three tables: its 2n boundary cells, its
+n-1 coordinate swaps (total for n >= 2) and its word of n labels.  The
+face/swap tables must satisfy the boundary, swap and mixed exchange
+relations of the symmetric cube shapes, and the label word must track
+them: dropping a face removes the corresponding letter, swapping
+coordinates swaps adjacent letters.  ``check_relations`` verifies all
+of this cellwise.
 
-Every construction that copies cells from other sets goes through
-``glue``, which renumbers cells by explicit id maps and checks each
-merge: colimits and quotients number the classes of a union-find, and
-the process-term compiler renumbers directly.  Renaming preserves the
-relations, so ``glue`` does not recheck the whole set.
+Input that arrives keyed, one entry per face and per swap, enters
+through ``make_precube``, which builds the rows and checks them.  Every
+construction writes rows directly and does not recheck: cubes are
+tables of the cube category, and every construction that copies cells
+from other sets goes through ``glue``, which renumbers rows by explicit
+id maps and checks each merge (colimits and quotients number the
+classes of a union-find, and the process-term compiler renumbers
+directly).  Renaming preserves the relations.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .encoding import all_encodings, face_rows, swap_rows, word_along
@@ -35,13 +39,27 @@ class PrecubeError(ValueError):
 # ---------------------------------------------------------------------------
 # data model
 
+Rows = Mapping[int, Mapping[int, tuple]]  # dim -> cell -> row
+
 
 @dataclass(frozen=True)
 class PrecubicalSet:
+    """Cells per dimension, and one row per cell in each of three tables.
+
+    For every n-cell c, vertices included, ``faces[n][c]`` is
+    ``(d_1^0 c, d_1^1 c, ..., d_n^0 c, d_n^1 c)``, ``syms[n][c]`` is
+    ``(s_1 c, ..., s_{n-1} c)`` and ``labels[n][c]`` is c's word, so
+    ``len(faces[n][c]) == 2n``, ``len(syms[n][c]) == n - 1`` (0 for a
+    vertex) and ``len(labels[n][c]) == n``.  Each table has a key for
+    every populated dimension and no other.  Rows are tuples and are
+    never mutated, so sets share them: ``__post_init__`` sorts the cell
+    ids and copies nothing else.
+    """
+
     cells: Mapping[int, tuple[int, ...]]
-    faces: Mapping[tuple[int, int, int, int], int]  # (n, cell, i, alpha) -> (n-1)-cell
-    syms: Mapping[tuple[int, int, int], int]  # (n, cell, i) -> n-cell
-    labels: Mapping[tuple[int, int], tuple[str, ...]]  # (n, cell) -> word, n >= 1
+    faces: Rows
+    syms: Rows
+    labels: Rows
     decoration: Mapping[int, str] = field(default_factory=dict)
     initial: int | None = None
     truncated: bool = False
@@ -49,10 +67,6 @@ class PrecubicalSet:
     def __post_init__(self):
         cells = {n: tuple(sorted(ids)) for n, ids in self.cells.items() if ids}
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "faces", dict(self.faces))
-        object.__setattr__(self, "syms", dict(self.syms))
-        object.__setattr__(self, "labels", dict(self.labels))
-        object.__setattr__(self, "decoration", dict(self.decoration))
 
     def dims(self) -> list[int]:
         return sorted(self.cells)
@@ -73,44 +87,40 @@ class PrecubicalSet:
         return sum(len(ids) for ids in self.cells.values())
 
     def face(self, n: int, cell: int, i: int, alpha: int) -> int:
-        return self.faces[(n, cell, i, alpha)]
+        return self.faces[n][cell][2 * i + alpha - 2]
 
     def sym(self, n: int, cell: int, i: int) -> int:
-        return self.syms[(n, cell, i)]
+        return self.syms[n][cell][i - 1]
 
     def label(self, n: int, cell: int) -> tuple[str, ...]:
-        if n == 0:
-            return ()
-        return self.labels[(n, cell)]
+        return self.labels[n][cell]
 
 
 EMPTY_PRECUBE = PrecubicalSet({}, {}, {}, {})
 
 
-def make_precube(
-    cells,
-    faces,
-    syms,
-    labels,
-    decoration=None,
-    initial=None,
-    truncated=False,
-) -> PrecubicalSet:
-    out = PrecubicalSet(
-        {n: tuple(ids) for n, ids in cells.items()},
-        dict(faces),
-        dict(syms),
-        dict(labels),
-        dict(decoration or {}),
-        initial,
-        truncated,
-    )
+def make_precube(cells, faces, syms, labels, decoration=None, initial=None,
+                 truncated=False) -> PrecubicalSet:
+    """The set with keyed tables, checked by ``check_relations``.
+
+    ``faces[(n, c, i, alpha)]``, ``syms[(n, c, i)]`` and ``labels[(n, c)]``
+    (n >= 1) become rows; a missing entry becomes ``None`` in its row, so
+    the check names it, and an entry for no cell or slot is ignored.
+    """
+    cells = {n: tuple(ids) for n, ids in cells.items() if ids}
+    frows, srows, words = {}, {}, {}
+    for n, ids in cells.items():
+        keys = [(i, a) for i in range(1, n + 1) for a in (0, 1)]
+        frows[n] = {c: tuple(faces.get((n, c, i, a)) for i, a in keys) for c in ids}
+        srows[n] = {c: tuple(syms.get((n, c, i)) for i in range(1, n)) for c in ids}
+        words[n] = {c: labels.get((n, c)) if n else () for c in ids}
+    out = PrecubicalSet(cells, frows, srows, words, dict(decoration or {}), initial, truncated)
     check_relations(out)
     return out
 
 
 def check_relations(K: PrecubicalSet) -> None:
-    """Verify the shape relations and label compatibility, cellwise."""
+    """Verify the rows, the shape relations and label compatibility, cellwise."""
     dims = K.dims()
     for n in dims:
         if n > 0 and (n - 1) not in K.cells:
@@ -121,43 +131,42 @@ def check_relations(K: PrecubicalSet) -> None:
         if v not in K.vertices:
             raise PrecubeError(f"decorated vertex {v} does not exist")
     for n in dims:
-        if n == 0:
-            continue
         lower = set(K.ncells(n - 1))
         here = set(K.ncells(n))
+        words, frows, srows = K.labels.get(n, {}), K.faces.get(n, {}), K.syms.get(n, {})
         for c in K.ncells(n):
-            word = K.labels.get((n, c))
+            word, row, srow = words.get(c), frows.get(c), srows.get(c)
             if word is None or len(word) != n:
                 raise PrecubeError(f"cell ({n},{c}) has no well-formed label word")
-            for i in range(1, n + 1):
-                for alpha in (0, 1):
-                    f = K.faces.get((n, c, i, alpha))
-                    if f is None or f not in lower:
-                        raise PrecubeError(f"cell ({n},{c}) misses face ({i},{alpha})")
-                    expect = word[: i - 1] + word[i:]
-                    if K.label(n - 1, f) != expect:
-                        raise PrecubeError(
-                            f"face ({i},{alpha}) of cell ({n},{c}) breaks the label rule"
-                        )
-            for i in range(1, n):
-                s = K.syms.get((n, c, i))
+            if row is None or len(row) != 2 * n or srow is None or len(srow) != max(n - 1, 0):
+                raise PrecubeError(f"cell ({n},{c}) has a face or swap row of the wrong length")
+            for j, f in enumerate(row):
+                i, alpha = j // 2 + 1, j % 2
+                if f is None or f not in lower:
+                    raise PrecubeError(f"cell ({n},{c}) misses face ({i},{alpha})")
+                if K.label(n - 1, f) != word[: i - 1] + word[i:]:
+                    raise PrecubeError(
+                        f"face ({i},{alpha}) of cell ({n},{c}) breaks the label rule"
+                    )
+            for i, s in enumerate(srow, 1):
                 if s is None or s not in here:
                     raise PrecubeError(f"cell ({n},{c}) misses swap {i}")
                 expect = list(word)
                 expect[i - 1], expect[i] = expect[i], expect[i - 1]
                 if K.label(n, s) != tuple(expect):
                     raise PrecubeError(f"swap {i} of cell ({n},{c}) breaks the label rule")
-    # boundary exchange
     for n in dims:
         if n < 2:
             continue
+        face, sym = K.face, K.sym
         for c in K.ncells(n):
+            # boundary exchange
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     for alpha in (0, 1):
                         for beta in (0, 1):
-                            left = K.face(n - 1, K.face(n, c, j, beta), i, alpha)
-                            right = K.face(n - 1, K.face(n, c, i, alpha), j - 1, beta)
+                            left = face(n - 1, face(n, c, j, beta), i, alpha)
+                            right = face(n - 1, face(n, c, i, alpha), j - 1, beta)
                             if left != right:
                                 raise PrecubeError(
                                     f"boundary relation fails at cell ({n},{c}), "
@@ -165,53 +174,38 @@ def check_relations(K: PrecubicalSet) -> None:
                                 )
             # swap relations
             for i in range(1, n):
-                if K.sym(n, K.sym(n, c, i), i) != c:
+                if sym(n, sym(n, c, i), i) != c:
                     raise PrecubeError(f"swap {i} is not involutive at cell ({n},{c})")
                 for j in range(1, n):
                     if i == j - 1:
-                        lhs = K.sym(n, K.sym(n, K.sym(n, c, i), j), i)
-                        rhs = K.sym(n, K.sym(n, K.sym(n, c, j), i), j)
+                        lhs = sym(n, sym(n, sym(n, c, i), j), i)
+                        rhs = sym(n, sym(n, sym(n, c, j), i), j)
                         if lhs != rhs:
                             raise PrecubeError(f"braid relation fails at cell ({n},{c})")
                     if j > i + 1:
-                        if K.sym(n, K.sym(n, c, j), i) != K.sym(n, K.sym(n, c, i), j):
+                        if sym(n, sym(n, c, j), i) != sym(n, sym(n, c, i), j):
                             raise PrecubeError(
                                 f"distant swaps do not commute at cell ({n},{c})"
                             )
             # mixed exchange
             for i in range(1, n):
-                s = K.sym(n, c, i)
+                s = sym(n, c, i)
                 for j in range(1, n + 1):
                     for alpha in (0, 1):
-                        got = K.face(n, s, j, alpha)
+                        got = face(n, s, j, alpha)
                         if j < i:
-                            want = K.sym(n - 1, K.face(n, c, j, alpha), i - 1)
+                            want = sym(n - 1, face(n, c, j, alpha), i - 1)
                         elif j == i:
-                            want = K.face(n, c, i + 1, alpha)
+                            want = face(n, c, i + 1, alpha)
                         elif j == i + 1:
-                            want = K.face(n, c, i, alpha)
+                            want = face(n, c, i, alpha)
                         else:
-                            want = K.sym(n - 1, K.face(n, c, j, alpha), i)
+                            want = sym(n - 1, face(n, c, j, alpha), i)
                         if got != want:
                             raise PrecubeError(
                                 f"mixed exchange fails at cell ({n},{c}), "
                                 f"swap {i}, face ({j},{alpha})"
                             )
-
-
-@dataclass(frozen=True)
-class Shell:
-    """A compatible boundary assignment for a would-be cube of dimension p."""
-
-    p: int
-    faces: Mapping[tuple[int, int], int]
-
-    def key(self):
-        return tuple(sorted(self.faces.items()))
-
-
-def shell_of(K: PrecubicalSet, n: int, cell: int) -> Shell:
-    return Shell(n, {(i, a): K.face(n, cell, i, a) for i in range(1, n + 1) for a in (0, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +214,14 @@ def shell_of(K: PrecubicalSet, n: int, cell: int) -> Shell:
 
 @lru_cache(maxsize=None)
 def _cube_shape(n: int) -> tuple[dict, dict, dict]:
-    """Cells, faces and swaps of every cube on n letters: its m-cells are
-    the rows of ``all_encodings(m, n)``, faces and swaps precomposition."""
+    """Cells, face rows and swap rows of every cube on n letters: its
+    m-cells are the rows of ``all_encodings(m, n)``, faces and swaps
+    precomposition."""
     cells, faces, syms = {}, {}, {}
     for m in range(n + 1):
         cells[m] = tuple(range(len(all_encodings(m, n))))
-        keys = product((m,), cells[m], range(1, m + 1), (0, 1))
-        faces.update(zip(keys, chain.from_iterable(face_rows(m, n)) if m else ()))
-        keys = product((m,), cells[m], range(1, m))
-        syms.update(zip(keys, chain.from_iterable(swap_rows(m, n))))
+        faces[m] = dict(enumerate(face_rows(m, n))) if m else dict.fromkeys(cells[m], ())
+        syms[m] = dict(enumerate(swap_rows(m, n)))
     return cells, faces, syms
 
 
@@ -237,9 +230,8 @@ def standard_cube(word: Sequence[str]) -> PrecubicalSet:
     word = tuple(word)
     n = len(word)
     labels = {
-        (m, k): word_along(word, enc)
-        for m in range(1, n + 1)
-        for k, enc in enumerate(all_encodings(m, n))
+        m: {k: word_along(word, enc) for k, enc in enumerate(all_encodings(m, n))}
+        for m in range(n + 1)
     }
     return PrecubicalSet(*_cube_shape(n), labels)
 
@@ -321,39 +313,45 @@ def glue(parts, initial=None) -> PrecubicalSet:
     Each part is a pair ``(K, ids)``: ``ids`` maps ``(n, c)`` to the id of
     K's n-cell c in dimension n of the result, and a cell without an id
     is dropped (the faces and swaps of a kept cell must keep theirs).
-    Faces, swaps, labels and decorations are written under the new ids.
-    Cells sent to one id are merged and must agree on faces, swaps and
-    labels; a merged vertex keeps the least decoration sent to it.  The
-    result is truncated if any part is.
+    Each kept cell's rows are written under the new ids.  Cells sent to
+    one id are merged and must agree on labels, faces and swaps; a
+    merged vertex keeps the least decoration sent to it.  The result is
+    truncated if any part is.
     """
-    cells: dict[int, set[int]] = defaultdict(set)
-    faces, syms, labels, decoration = {}, {}, {}, {}
+    faces, syms, labels = defaultdict(dict), defaultdict(dict), defaultdict(dict)
+    decoration = {}
     truncated = False
     for K, ids in parts:
         truncated = truncated or K.truncated
-        for (n, _), k in ids.items():
-            cells[n].add(k)
-        for (n, c), word in K.labels.items():
-            k = ids.get((n, c))
-            if k is not None and labels.setdefault((n, k), word) != word:
-                raise PrecubeError("merged cells disagree on labels")
-        for (n, c, i, alpha), f in K.faces.items():
-            k = ids.get((n, c))
-            if k is not None:
-                f = ids[(n - 1, f)]
-                if faces.setdefault((n, k, i, alpha), f) != f:
+        by_dim: dict[int, dict[int, int]] = defaultdict(dict)
+        for (n, c), k in ids.items():
+            by_dim[n][c] = k
+        for n, here in by_dim.items():
+            lower, same = by_dim.get(n - 1, {}).__getitem__, here.__getitem__
+            frows, srows, words = K.faces[n], K.syms[n], K.labels[n]
+            out_f, out_s, out_w = faces[n], syms[n], labels[n]
+            for c, k in here.items():
+                word, frow, srow = words[c], frows[c], srows[c]
+                if frow:
+                    frow = tuple(map(lower, frow))
+                if srow:
+                    srow = tuple(map(same, srow))
+                if k not in out_w:
+                    out_w[k], out_f[k], out_s[k] = word, frow, srow
+                elif out_w[k] != word:
+                    raise PrecubeError("merged cells disagree on labels")
+                elif out_f[k] != frow:
                     raise PrecubeError("merged cells disagree on faces")
-        for (n, c, i), s in K.syms.items():
-            k = ids.get((n, c))
-            if k is not None:
-                s = ids[(n, s)]
-                if syms.setdefault((n, k, i), s) != s:
+                elif out_s[k] != srow:
                     raise PrecubeError("merged cells disagree on swaps")
         for v, name in K.decoration.items():
             k = ids.get((0, v))
             if k is not None and (k not in decoration or name < decoration[k]):
                 decoration[k] = name
-    return PrecubicalSet(cells, faces, syms, labels, decoration, initial, truncated)
+    return PrecubicalSet(
+        {n: rows.keys() for n, rows in faces.items()},
+        dict(faces), dict(syms), dict(labels), decoration, initial, truncated,
+    )
 
 
 def _class_ids(uf: UnionFind) -> dict:
@@ -414,21 +412,19 @@ def _quotient(K: PrecubicalSet, uf: UnionFind) -> tuple[PrecubicalSet, PrecubeMa
 def hda_check(K: PrecubicalSet) -> list[tuple[int, int, int]]:
     """All pairs of distinct cells (dim >= 2) with identical boundaries.
 
-    An empty result means every shell has at most one filler.  Only the
-    2p boundary cells are compared: for p >= 2 they determine the label
-    word, so no separate label comparison is needed.
+    An empty result means every shell has at most one filler.  Cells are
+    grouped by their face row: for p >= 2 the 2p boundary cells determine
+    the label word, so no separate label comparison is needed.
     """
     out = []
     for n in K.dims():
         if n < 2:
             continue
         groups: dict[tuple, list[int]] = {}
-        for c in K.ncells(n):
-            groups.setdefault(shell_of(K, n, c).key(), []).append(c)
-        for key in sorted(groups):
-            dup = groups[key]
-            for x, y in combinations(sorted(dup), 2):
-                out.append((n, x, y))
+        for c, row in K.faces[n].items():
+            groups.setdefault(row, []).append(c)
+        for dup in groups.values():
+            out.extend((n, x, y) for x, y in combinations(sorted(dup), 2))
     return sorted(out)
 
 

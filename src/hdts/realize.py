@@ -42,7 +42,7 @@ from .encoding import (
     vertex_ids,
     word_along,
 )
-from .precube import PrecubeMap, PrecubicalSet, hda_check, make_precube
+from .precube import PrecubeMap, PrecubicalSet, hda_check
 from .unionfind import UnionFind
 
 
@@ -268,23 +268,30 @@ def cubify(X: WeakHDTS) -> Cubification:
     """Rebuild ``X`` from every cube mapping into it.
 
     The complex has one n-cell per cube morphism into ``X``; faces and
-    swaps act by precomposition.  The comparison morphism back to ``X``
-    is bijective on states; it can collapse actions that only ever occur
-    in shared one-step transitions.  A system that is not coherence-closed
-    may have a cube whose face is missing, which raises ``StructureError``."""
+    swaps act by precomposition, so its rows satisfy the relations by
+    construction and are not rechecked.  The comparison morphism back
+    to ``X`` is bijective on states; it can collapse actions that only
+    ever occur in shared one-step transitions.  A system that is not
+    coherence-closed may have a cube whose face is missing, which
+    raises ``StructureError``."""
     max_arity = max((t.arity for t in X.transitions), default=0)
     per_dim = [cube_maps_into(n, X) for n in range(max_arity + 1)]
     index = [{table: k for k, table in enumerate(maps)} for maps in per_dim]
-    cells = {n: tuple(range(len(maps))) for n, maps in enumerate(per_dim)}
     faces, syms, labels = {}, {}, {}
-    for n in range(1, max_arity + 1):
-        for k, table in enumerate(per_dim[n]):
-            labels[(n, k)] = table[0]
-            for i, alpha in itertools.product(range(1, n + 1), (0, 1)):
-                faces[(n, k, i, alpha)] = _cell(index[n - 1], face_encoding(i, alpha, n), table)
-            for i in range(1, n):
-                syms[(n, k, i)] = _cell(index[n], sym_encoding(i, n), table)
-    complex_ = make_precube(cells, faces, syms, labels)
+    for n, maps in enumerate(per_dim):
+        if not maps:
+            continue
+        face_maps = [face_encoding(i, alpha, n) for i in range(1, n + 1) for alpha in (0, 1)]
+        swap_maps = [sym_encoding(i, n) for i in range(1, n)]
+        labels[n] = {k: table[0] for k, table in enumerate(maps)}
+        faces[n] = {
+            k: tuple(_cell(index[n - 1], h, table) for h in face_maps)
+            for k, table in enumerate(maps)
+        }
+        syms[n] = {
+            k: tuple(_cell(index[n], h, table) for h in swap_maps) for k, table in enumerate(maps)
+        }
+    complex_ = PrecubicalSet({n: rows.keys() for n, rows in faces.items()}, faces, syms, labels)
     r = realize(complex_)
     smap = {k: states[0] for k, (_, states, _) in enumerate(per_dim[0])}
     amap = {}

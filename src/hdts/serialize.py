@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .alphabet import Alphabet
 from .core import Action, Transition, WeakHDTS
-from .precube import PrecubicalSet, check_relations
+from .precube import PrecubeError, PrecubicalSet, make_precube
 
 DEFAULT_TAU = "tau"
 
@@ -144,32 +144,19 @@ def hdts_from_json(doc) -> WeakHDTS:
 def precube_to_json(K: PrecubicalSet) -> dict:
     dims: dict[str, list] = {}
     for n in K.dims():
+        faces, syms, labels = K.faces[n], K.syms[n], K.labels[n]
         rows = []
         for c in K.ncells(n):
-            if n == 0:
-                rows.append({"id": c})
-            elif n == 1:
-                rows.append(
-                    {
-                        "id": c,
-                        "d10": K.face(1, c, 1, 0),
-                        "d11": K.face(1, c, 1, 1),
-                        "label": list(K.label(1, c)),
-                    }
-                )
-            else:
-                rows.append(
-                    {
-                        "id": c,
-                        "faces": {
-                            f"{i},{alpha}": K.face(n, c, i, alpha)
-                            for i in range(1, n + 1)
-                            for alpha in (0, 1)
-                        },
-                        "syms": {str(i): K.sym(n, c, i) for i in range(1, n)},
-                        "label": list(K.label(n, c)),
-                    }
-                )
+            row = {"id": c}
+            if n == 1:
+                row["d10"], row["d11"] = faces[c]
+            elif n >= 2:
+                keys = (f"{i},{alpha}" for i in range(1, n + 1) for alpha in (0, 1))
+                row["faces"] = dict(zip(keys, faces[c]))
+                row["syms"] = {str(i): s for i, s in enumerate(syms[c], 1)}
+            if n:
+                row["label"] = list(labels[c])
+            rows.append(row)
         dims[str(n)] = rows
     doc: dict = {"dims": dims}
     if K.initial is not None:
@@ -183,36 +170,36 @@ _quote_json = json.encoder.encode_basestring_ascii  # the escaper of json.dumps
 
 
 @lru_cache(maxsize=None)
-def _row_template(n: int) -> tuple[str, tuple, tuple]:
+def _row_template(n: int) -> tuple[str, list | None, list | None]:
     """The %-template of an n-cell's row in ``dumps``'s precube text,
-    with the face keys (i, alpha) and swap keys i in the order of its
-    slots.  Keys sort as strings, as under ``sort_keys``: "10,0" comes
-    before "2,0".  Slots: faces, id, letters, swaps."""
+    and the order in which it takes the entries of the cell's face row
+    and swap row, or None where that is the rows' own order.  Keys sort
+    as strings, as under ``sort_keys``: "10,0" comes before "2,0".
+    Slots: faces, id, letters, swaps."""
     pad = " " * 8
     if n == 0:
-        return f"      {{\n{pad}\"id\": %s\n      }}", (), ()
+        return f"      {{\n{pad}\"id\": %s\n      }}", None, None
     letters = ",\n".join([f"{pad}  %s"] * n)
     label = f"{pad}\"label\": [\n{letters}\n{pad}]"
     if n == 1:
         head = f"{pad}\"d10\": %s,\n{pad}\"d11\": %s,\n"
-        return f"      {{\n{head}{pad}\"id\": %s,\n{label}\n      }}", ((1, 0), (1, 1)), ()
-    faces = sorted(((i, alpha) for i in range(1, n + 1) for alpha in (0, 1)),
-                   key=lambda f: f"{f[0]},{f[1]}")
-    syms = sorted(range(1, n), key=str)
-    face_rows = ",\n".join(f"{pad}  \"{i},{alpha}\": %s" for i, alpha in faces)
-    sym_rows = ",\n".join(f"{pad}  \"{i}\": %s" for i in syms)
+        return f"      {{\n{head}{pad}\"id\": %s,\n{label}\n      }}", None, None
+    faces = sorted(range(2 * n), key=lambda j: f"{j // 2 + 1},{j % 2}")
+    syms = sorted(range(n - 1), key=lambda j: str(j + 1))
+    face_rows = ",\n".join(f"{pad}  \"{j // 2 + 1},{j % 2}\": %s" for j in faces)
+    sym_rows = ",\n".join(f"{pad}  \"{j + 1}\": %s" for j in syms)
     text = (
         f"      {{\n{pad}\"faces\": {{\n{face_rows}\n{pad}}},\n{pad}\"id\": %s,\n"
         f"{label},\n{pad}\"syms\": {{\n{sym_rows}\n{pad}}}\n      }}"
     )
-    return text, tuple(faces), tuple(syms)
+    in_order = faces == sorted(faces) and syms == sorted(syms)
+    return text, None if in_order else faces, None if in_order else syms
 
 
 def _precube_text(K: PrecubicalSet) -> str:
-    """``dumps(precube_to_json(K))``, written from ``K``'s tables.  Rows
+    """``dumps(precube_to_json(K))``, written from ``K``'s rows.  Rows
     are joined per dimension and the pieces once at the end, so the
     text is held at most twice over."""
-    faces, syms, labels = K.faces, K.syms, K.labels
     out = ["{\n"]
     if K.decoration:
         entries = sorted((str(v), _quote_json(d)) for v, d in K.decoration.items())
@@ -221,15 +208,14 @@ def _precube_text(K: PrecubicalSet) -> str:
     out.append('  "dims": {' if K.cells else '  "dims": {}')
     sep = "\n"
     for n in sorted(K.cells, key=str):
-        template, face_keys, sym_keys = _row_template(n)
+        template, face_order, sym_order = _row_template(n)
+        faces, syms, labels = K.faces[n], K.syms[n], K.labels[n]
         rows = []
         for c in K.cells[n]:
-            slots = [faces[n, c, i, alpha] for i, alpha in face_keys]
-            slots.append(c)
-            if n:
-                slots += map(_quote_json, labels[n, c])
-                slots += [syms[n, c, i] for i in sym_keys]
-            rows.append(template % tuple(slots))
+            frow, srow = faces[c], syms[c]
+            if face_order:
+                frow, srow = [frow[j] for j in face_order], [srow[j] for j in sym_order]
+            rows.append(template % (*frow, c, *map(_quote_json, labels[c]), *srow))
         out += (f'{sep}    "{n}": [\n', ",\n".join(rows), "\n    ]")
         sep = ",\n"
     if K.cells:
@@ -272,12 +258,16 @@ def precube_from_json(doc) -> PrecubicalSet:
                         f"{path}.faces.{fk}",
                         "keys must look like 'i,alpha'",
                     )
+                    _need(1 <= int(parts[0]) <= n, f"{path}.faces.{fk}",
+                          f"face index must be in 1..{n}")
                     _need(_int(v), f"{path}.faces.{fk}", "must be an integer")
                     faces[(n, c, int(parts[0]), int(parts[1]))] = v
                 sobj = row.get("syms", {})
                 _need(isinstance(sobj, dict), f"{path}.syms", "must be an object")
                 for sk, v in sobj.items():
                     _need(_int_key(sk), f"{path}.syms.{sk}", "keys must be plain integers")
+                    _need(1 <= int(sk) < n, f"{path}.syms.{sk}",
+                          f"swap index must be in 1..{n - 1}")
                     _need(_int(v), f"{path}.syms.{sk}", "must be an integer")
                     syms[(n, c, int(sk))] = v
             if n >= 1:
@@ -300,14 +290,10 @@ def precube_from_json(doc) -> PrecubicalSet:
     initial = doc.get("initial")
     if initial is not None:
         _need(_int(initial), "initial", "must be a vertex id")
-    K = PrecubicalSet(
-        {n: tuple(ids) for n, ids in cells.items()}, faces, syms, labels, decoration, initial
-    )
     try:
-        check_relations(K)
-    except Exception as exc:
+        return make_precube(cells, faces, syms, labels, decoration, initial)
+    except PrecubeError as exc:
         raise SchemaError(f"dims: {exc}") from exc
-    return K
 
 
 def detect_kind(doc) -> str:

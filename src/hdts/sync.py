@@ -91,30 +91,29 @@ def _fibered(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> _Fibered:
                 tags.append(("s", e1, e2))
     edge_id = {t: i for i, t in enumerate(tags)}
 
-    cells = {0: tuple(range(len(pairs)))}
-    faces, labels = {}, {}
-    if tags:
-        cells[1] = tuple(range(len(tags)))
+    cells = {0: range(len(pairs)), 1: range(len(tags))}
+    faces = {n: dict.fromkeys(ids, ()) for n, ids in cells.items() if ids}
+    syms = {n: dict(rows) for n, rows in faces.items()}
+    labels = {n: dict(rows) for n, rows in faces.items()}
     for i, tag in enumerate(tags):
         kind = tag[0]
         if kind == "k":
             _, e, lv = tag
             lo = (K.face(1, e, 1, 0), lv)
             hi = (K.face(1, e, 1, 1), lv)
-            labels[(1, i)] = K.label(1, e)
+            labels[1][i] = K.label(1, e)
         elif kind == "l":
             _, kv, e = tag
             lo = (kv, L.face(1, e, 1, 0))
             hi = (kv, L.face(1, e, 1, 1))
-            labels[(1, i)] = L.label(1, e)
+            labels[1][i] = L.label(1, e)
         else:
             _, e1, e2 = tag
             lo = (K.face(1, e1, 1, 0), L.face(1, e2, 1, 0))
             hi = (K.face(1, e1, 1, 1), L.face(1, e2, 1, 1))
-            labels[(1, i)] = (cfg.tau,)
-        faces[(1, i, 1, 0)] = vertex_id[lo]
-        faces[(1, i, 1, 1)] = vertex_id[hi]
-    out = PrecubicalSet(cells, faces, {}, labels)
+            labels[1][i] = (cfg.tau,)
+        faces[1][i] = (vertex_id[lo], vertex_id[hi])
+    out = PrecubicalSet(cells, faces, syms, labels)
     return _Fibered(out, vertex_id, tuple(pairs), edge_id, tuple(tags))
 
 
@@ -154,10 +153,8 @@ def _cosk(K: PrecubicalSet, vertex_iso: Mapping[int, tuple]) -> _Cosk:
         key = (K.face(1, e, 1, 0), K.face(1, e, 1, 1))
         by_endpoints.setdefault(key, []).append(e)
 
-    cells = {n: tuple(K.ncells(n)) for n in K.dims()}
-    faces = {k: v for k, v in K.faces.items()}
-    labels = {k: v for k, v in K.labels.items()}
-    syms: dict[tuple[int, int, int], int] = {}
+    cells = dict(K.cells)
+    faces, syms, labels = dict(K.faces), dict(K.syms), dict(K.labels)
     index: dict[tuple, int] = {}
     contents: dict[tuple[int, int], tuple] = {}
 
@@ -208,18 +205,22 @@ def _cosk(K: PrecubicalSet, vertex_iso: Mapping[int, tuple]) -> _Cosk:
         found.sort()
         if not found:
             break
-        cells[n] = tuple(range(len(found)))
+        cells[n] = range(len(found))
+        faces[n], syms[n], labels[n] = {}, {}, {}
         for cid, content in enumerate(found):
             contents[(n, cid)] = content
             index[(n, content)] = cid
-            labels[(n, cid)] = tuple(K.label(1, content[1][rows[0]])[0] for rows in by_dir)
+            labels[n][cid] = tuple(K.label(1, content[1][rows[0]])[0] for rows in by_dir)
         for cid, content in enumerate(found):
-            for i in range(1, n + 1):
-                for alpha in (0, 1):
-                    sub = _transport(content, face_encoding(i, alpha, n))
-                    faces[(n, cid, i, alpha)] = sub[1][0] if n == 2 else index[(n - 1, sub)]
-            for i in range(1, n):
-                syms[(n, cid, i)] = index[(n, _transport(content, sym_encoding(i, n)))]
+            subs = [
+                _transport(content, face_encoding(i, alpha, n))
+                for i in range(1, n + 1)
+                for alpha in (0, 1)
+            ]
+            faces[n][cid] = tuple(sub[1][0] if n == 2 else index[(n - 1, sub)] for sub in subs)
+            syms[n][cid] = tuple(
+                index[(n, _transport(content, sym_encoding(i, n)))] for i in range(1, n)
+            )
 
     out = PrecubicalSet(cells, faces, syms, labels, K.decoration, K.initial, K.truncated)
     return _Cosk(out, index, contents)
@@ -538,18 +539,15 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
 
     faces, syms, labels = {}, {}, {}
     for p in sorted(counts):
-        keys = [(i, alpha) for i in range(1, p + 1) for alpha in (0, 1)]
+        frows, srows, words_p = faces[p], syms[p], labels[p] = {}, {}, {}
         for ko, lo, _, letters, entry in (r for r in reps if p in r[4].tables):
             here, words, swaps = ids[(ko, lo)][p], entry.labels[p], entry.swaps[p]
             resolved = [resolve(ko, lo, p - 1, *pair) for pair in entry.pairs[p]]
             for x in least[(ko, lo)][p]:
                 k = here[x]
-                if p:
-                    labels[(p, k)] = tuple(map(letters.__getitem__, words[x]))
-                for (i, alpha), (slot, z) in zip(keys, entry.faces[p][x]):
-                    faces[(p, k, i, alpha)] = resolved[slot][z]
-                for i, s in enumerate(swaps[x], 1):
-                    syms[(p, k, i)] = here[s]
+                words_p[k] = tuple(map(letters.__getitem__, words[x]))
+                frows[k] = tuple([resolved[slot][z] for slot, z in entry.faces[p][x]])
+                srows[k] = tuple(map(here.__getitem__, swaps[x]))
     cells = {p: range(count) for p, count in sorted(counts.items())}
 
     def pair_vertex(u, v) -> int:

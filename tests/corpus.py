@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter, defaultdict
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 from hdts import (
     Action,
@@ -55,7 +56,6 @@ from hdts.precube import (
     PrecubeError,
     PrecubeMap,
     PrecubicalSet,
-    Shell,
     check_precube_map,
     make_precube,
 )
@@ -222,7 +222,7 @@ def random_wedge_diagram(seed: int):
         for _ in range(rng.randint(1, 3))
     ]
     cubes = [standard_cube(w) for w in words]
-    point = PrecubicalSet({0: (0,)}, {}, {}, {})
+    point = make_precube({0: (0,)}, {}, {}, {})
     arrows = []
     for i, K in enumerate(cubes):
         anchor = rng.choice(K.vertices)
@@ -465,6 +465,36 @@ def encode_poset_map(m: int, n: int, vertex_map) -> CubeEncoding:
             "projections do not use each source coordinate exactly once"
         )
     return CubeEncoding(m, n, tuple(fhat))
+
+
+@dataclass(frozen=True)
+class Shell:
+    """A compatible boundary assignment for a would-be cube of dimension p."""
+
+    p: int
+    faces: Mapping[tuple[int, int], int]
+
+    def key(self):
+        return tuple(sorted(self.faces.items()))
+
+
+def shell_of(K: PrecubicalSet, n: int, cell: int) -> Shell:
+    return Shell(n, {(i, a): K.face(n, cell, i, a) for i in range(1, n + 1) for a in (0, 1)})
+
+
+def keyed_tables(K: PrecubicalSet) -> tuple[dict, dict, dict]:
+    """``K``'s rows as the keyed tables ``make_precube`` reads: faces by
+    ``(n, c, i, alpha)``, swaps by ``(n, c, i)``, words by ``(n, c)``."""
+    faces = {
+        (n, c, j // 2 + 1, j % 2): f
+        for n, rows in K.faces.items() for c, row in rows.items() for j, f in enumerate(row)
+    }
+    syms = {
+        (n, c, i): s
+        for n, rows in K.syms.items() for c, row in rows.items() for i, s in enumerate(row, 1)
+    }
+    labels = {(n, c): w for n, rows in K.labels.items() if n for c, w in rows.items()}
+    return faces, syms, labels
 
 
 def shell_word(shell: Shell, K) -> tuple[str, ...]:
@@ -745,7 +775,7 @@ def _merge_classes(tagged_cells, face_of, sym_of, label_of, decoration_of, uf):
                 if len(vals) != 1:
                     raise PrecubeError("merged cells disagree on swaps")
                 syms[(n, k, i)] = vals.pop()
-    out = PrecubicalSet(cells, faces, syms, labels, decoration)
+    out = make_precube(cells, faces, syms, labels, decoration)
     return out, new_id
 
 
@@ -818,7 +848,7 @@ def _merging_quotient(K, uf):
 
 
 def _point(decoration):
-    return PrecubicalSet({0: (0,)}, {}, {}, {}, {0: decoration}, initial=0)
+    return make_precube({0: (0,)}, {}, {}, {}, {0: decoration}, initial=0)
 
 
 def checked_graft_prefix(label, sub, decoration):
@@ -833,10 +863,10 @@ def checked_graft_prefix(label, sub, decoration):
             cells[n] = sub.ncells(n)
     faces = {(1, 0, 1, 0): 0, (1, 0, 1, 1): sub.initial + 1}
     labels = {(1, 0): (label,)}
-    syms = dict(sub.syms)
-    for (n, c, i, alpha), v in sub.faces.items():
+    sub_faces, syms, sub_labels = keyed_tables(sub)
+    for (n, c, i, alpha), v in sub_faces.items():
         faces[(n, c + 1 if n == 1 else c, i, alpha)] = v + 1 if n <= 2 else v
-    for (n, c), w in sub.labels.items():
+    for (n, c), w in sub_labels.items():
         labels[(n, c + 1 if n == 1 else c)] = w
     decorations = {0: decoration}
     for v, d in sub.decoration.items():
@@ -869,18 +899,19 @@ def checked_filter_labels(sub, banned):
         (n, c): k for n in keep for k, c in enumerate(keep[n])
     }
     cells = {n: tuple(range(len(keep[n]))) for n in keep}
+    sub_faces, sub_syms, sub_labels = keyed_tables(sub)
     faces = {
         (n, renum[(n, c)], i, a): renum[(n - 1, v)]
-        for (n, c, i, a), v in sub.faces.items()
+        for (n, c, i, a), v in sub_faces.items()
         if (n, c) in renum
     }
     syms = {
         (n, renum[(n, c)], i): renum[(n, v)]
-        for (n, c, i), v in sub.syms.items()
+        for (n, c, i), v in sub_syms.items()
         if (n, c) in renum
     }
     labels = {
-        (n, renum[(n, c)]): w for (n, c), w in sub.labels.items() if (n, c) in renum
+        (n, renum[(n, c)]): w for (n, c), w in sub_labels.items() if (n, c) in renum
     }
     decoration = {renum[(0, v)]: d for v, d in sub.decoration.items()}
     initial = None if sub.initial is None else renum[(0, sub.initial)]
@@ -1192,7 +1223,7 @@ def map_standard_cube(word):
             for i in range(1, m):
                 swapped = map_compose(sym_encoding(i, m), enc)
                 syms[(m, k, i)] = index[m][swapped]
-    return PrecubicalSet(cells, faces, syms, labels)
+    return make_precube(cells, faces, syms, labels)
 
 
 def word_cube(word: tuple[str, ...]) -> WeakHDTS:

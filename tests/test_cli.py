@@ -132,6 +132,32 @@ def test_integer_keys_with_leading_zeros_are_input_errors(tmp_path, capsys, doc,
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
+OUT_OF_RANGE = [
+    (SQUARE_FACES + ', "3,0": 0', '"1": 0', "dims.2[0].faces.3,0: face index must be in 1..2"),
+    (SQUARE_FACES + ', "0,1": 0', '"1": 0', "dims.2[0].faces.0,1: face index must be in 1..2"),
+    (SQUARE_FACES, '"1": 0, "2": 0', "dims.2[0].syms.2: swap index must be in 1..1"),
+    (SQUARE_FACES, '"0": 0, "1": 0', "dims.2[0].syms.0: swap index must be in 1..1"),
+]
+
+
+@pytest.mark.parametrize(
+    "faces,syms,error", OUT_OF_RANGE, ids=["face-3,0", "face-0,1", "swap-2", "swap-0"]
+)
+def test_out_of_range_face_and_swap_indices_are_input_errors(tmp_path, capsys, faces, syms, error):
+    # a 2-cell has faces (1..2, 0..1) and swap 1; export used to drop any other key
+    valid = tmp_path / "square.json"
+    valid.write_text('{"dims": {%s}}' % (SQUARE_ROWS % (SQUARE_FACES, '"1": 0')))
+    assert main(["check", str(valid)]) == 0
+    file = tmp_path / "bad.json"
+    file.write_text('{"dims": {%s}}' % (SQUARE_ROWS % (faces, syms)))
+    capsys.readouterr()
+    for command in (["check"], ["export", "--format", "json"]):
+        code = main([command[0], str(file)] + command[1:])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+
 EDGE_SYSTEM = (
     '{"states": [0, %s], "actions": [{"id": %s, "label": "a"}], '
     '"transitions": [{"src": %s, "acts": [%s], "tgt": %s}]}'

@@ -2,13 +2,13 @@
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
 from hdts import (
     PrecubeError,
     PrecubeMap,
-    PrecubicalSet,
     boundary,
     check_relations,
     colimit_presheaf,
@@ -17,17 +17,19 @@ from hdts import (
     iso_check_precube,
     make_precube,
     sh_reflect,
-    shell_of,
     standard_cube,
     truncate,
 )
 from corpus import (
+    Shell,
     check_shell,
+    keyed_tables,
     map_standard_cube,
     merging_colimit_presheaf,
     _merging_quotient,
     pattern_words,
     random_wedge_diagram,
+    shell_of,
     shell_word,
 )
 from hdts import precube
@@ -136,9 +138,38 @@ def test_random_wedges_realize_honestly():
 
 def test_relations_catch_broken_labels():
     K = edge_precube()
-    bad = PrecubicalSet(K.cells, K.faces, {}, {(1, 0): ("a", "b")})
-    with pytest.raises(PrecubeError):
-        check_relations(bad)
+    with pytest.raises(PrecubeError, match=r"cell \(1,0\) has no well-formed label word"):
+        check_relations(replace(K, labels={**K.labels, 1: {0: ("a", "b")}}))
+    faces, syms, _ = keyed_tables(K)
+    with pytest.raises(PrecubeError, match=r"cell \(1,0\) has no well-formed label word"):
+        make_precube(K.cells, faces, syms, {(1, 0): ("a", "b")})
+
+
+@pytest.mark.parametrize(
+    "table,key,message",
+    [
+        ("faces", (2, 0, 2, 1), "cell (2,0) misses face (2,1)"),
+        ("syms", (2, 0, 1), "cell (2,0) misses swap 1"),
+        ("labels", (2, 0), "cell (2,0) has no well-formed label word"),
+    ],
+)
+def test_make_precube_names_the_missing_entry(table, key, message):
+    sq = standard_cube(("a", "b"))
+    tables = dict(zip(("faces", "syms", "labels"), keyed_tables(sq)))
+    assert make_precube(sq.cells, *tables.values()) == sq
+    del tables[table][key]
+    with pytest.raises(PrecubeError) as exc:
+        make_precube(sq.cells, *tables.values())
+    assert str(exc.value) == message
+
+
+def test_check_relations_rejects_rows_of_the_wrong_length():
+    sq = standard_cube(("a", "b"))
+    for table in ("faces", "syms"):
+        rows = getattr(sq, table)
+        short = {**rows, 2: {**rows[2], 0: rows[2][0][:-1]}}
+        with pytest.raises(PrecubeError, match=r"cell \(2,0\) has a face or swap row"):
+            check_relations(replace(sq, **{table: short}))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +184,7 @@ def test_coproduct_of_two_edges():
 
 
 def test_wedge_of_two_edges():
-    point = PrecubicalSet({0: (0,)}, {}, {}, {})
+    point = make_precube({0: (0,)}, {}, {}, {})
     left, right = edge_precube("a"), edge_precube("b")
     arrows = [
         (2, 0, PrecubeMap(point, left, {(0, 0): 0})),
@@ -201,8 +232,6 @@ def test_shell_word_is_induced_by_faces():
 
 
 def test_shells_of_cells_are_compatible():
-    from hdts.precube import Shell
-
     K = standard_cube(("a", "b", "c"))
     for n in (2, 3):
         for c in K.ncells(n):
@@ -291,8 +320,8 @@ def frame_gluing(word, copies):
 def decorated_gluing():
     """A truncated edge whose ends are glued to two decorated points."""
     edge = edge_precube("a")
-    edge = PrecubicalSet(edge.cells, edge.faces, {}, edge.labels, {0: "q", 1: "s"}, 0, True)
-    points = [PrecubicalSet({0: (0,)}, {}, {}, {}, {0: name}) for name in ("r", "p")]
+    edge = replace(edge, decoration={0: "q", 1: "s"}, initial=0, truncated=True)
+    points = [make_precube({0: (0,)}, {}, {}, {}, {0: name}) for name in ("r", "p")]
     arrows = [(1, 0, PrecubeMap(points[0], edge, {(0, 0): 1})),
               (2, 0, PrecubeMap(points[1], edge, {(0, 0): 0}))]
     return [edge] + points, arrows
@@ -346,9 +375,10 @@ def test_glue_renumbers_drops_and_merges():
     sq = standard_cube(("a", "b"))
     edges = _ids(sq, (0, 1))
     out = glue([(sq, edges), (sq, edges)], initial=0)
-    assert out == PrecubicalSet(
-        {0: sq.vertices, 1: sq.ncells(1)}, {k: v for k, v in sq.faces.items() if k[0] == 1}, {},
-        {k: v for k, v in sq.labels.items() if k[0] == 1}, {}, 0,
+    faces, _, labels = keyed_tables(sq)
+    assert out == make_precube(
+        {0: sq.vertices, 1: sq.ncells(1)}, {k: v for k, v in faces.items() if k[0] == 1}, {},
+        {k: v for k, v in labels.items() if k[0] == 1}, {}, 0,
     )
     check_relations(out)
 
@@ -373,11 +403,11 @@ def test_hom_preserves_structure():
 
 def test_iso_check_flags():
     K = edge_precube("a")
-    with_init = PrecubicalSet(K.cells, K.faces, {}, K.labels, {}, initial=0)
-    other_init = PrecubicalSet(K.cells, K.faces, {}, K.labels, {}, initial=1)
+    with_init = replace(K, initial=0)
+    other_init = replace(K, initial=1)
     assert iso_check_precube(with_init, other_init) is not None
     assert iso_check_precube(with_init, other_init, match_initial=True) is None
-    decorated = PrecubicalSet(K.cells, K.faces, {}, K.labels, {0: "p"}, initial=0)
-    plain = PrecubicalSet(K.cells, K.faces, {}, K.labels, {}, initial=0)
+    decorated = replace(K, decoration={0: "p"}, initial=0)
+    plain = replace(K, initial=0)
     assert iso_check_precube(decorated, plain, match_decoration=True) is None
     assert iso_check_precube(decorated, decorated, match_decoration=True) is not None

@@ -150,8 +150,6 @@ def test_realize_respects_pushouts():
 def test_realize_preserves_sampled_wedge_colimits():
     import random
 
-    from hdts.precube import PrecubicalSet
-
     for seed in range(6):
         rng = random.Random(seed)
         words = [
@@ -159,7 +157,7 @@ def test_realize_preserves_sampled_wedge_colimits():
             for _ in range(2)
         ]
         cubes = [standard_cube(w) for w in words]
-        point = PrecubicalSet({0: (0,)}, {}, {}, {})
+        point = make_precube({0: (0,)}, {}, {}, {})
         arrows = [
             (2, i, PrecubeMap(point, K, {(0, 0): rng.choice(K.vertices)}))
             for i, K in enumerate(cubes)

@@ -6,10 +6,24 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import ALPHA, CCS_CORPUS, RANDOM_SYNC_TERMS, pattern_words, random_rec_term
-from hdts import compile_text, cube, parallel_edges, standard_cube
+from corpus import (
+    ALPHA,
+    CCS_CORPUS,
+    RANDOM_SYNC_TERMS,
+    keyed_tables,
+    pattern_words,
+    random_rec_term,
+)
+from hdts import compile_text, cube, parallel_edges, standard_cube, truncate
 from hdts.fixtures import build_fixture, fixture_names, not_strong_complex
-from hdts.precube import EMPTY_PRECUBE, PrecubicalSet
+from hdts.precube import (
+    EMPTY_PRECUBE,
+    PrecubeError,
+    PrecubicalSet,
+    check_relations,
+    glue,
+    make_precube,
+)
 from hdts.serialize import (
     SchemaError,
     alphabet_from_json,
@@ -222,7 +236,7 @@ CELL_IDS = st.integers(-3, 12)
 
 @st.composite
 def raw_precubes(draw):
-    """A ``PrecubicalSet`` of up to three dimensions in 0..11 with tables
+    """A ``PrecubicalSet`` of up to three dimensions in 0..11 with rows
     drawn at random: the writer reads them without checking relations."""
     cells = {
         n: draw(st.lists(CELL_IDS, min_size=1, max_size=2, unique=True))
@@ -230,18 +244,62 @@ def raw_precubes(draw):
     }
     faces, syms, labels = {}, {}, {}
     for n, ids in cells.items():
+        faces[n], syms[n], labels[n] = {}, {}, {}
         for c in ids:
-            for i in range(1, n + 1):
-                faces[n, c, i, 0], faces[n, c, i, 1] = draw(st.tuples(CELL_IDS, CELL_IDS))
-            for i in range(1, n):
-                syms[n, c, i] = draw(CELL_IDS)
-            if n:
-                labels[n, c] = tuple(draw(st.lists(ODD_TEXT, min_size=n, max_size=n)))
+            faces[n][c] = sum((draw(st.tuples(CELL_IDS, CELL_IDS)) for _ in range(n)), ())
+            syms[n][c] = tuple(draw(CELL_IDS) for _ in range(1, n))
+            labels[n][c] = tuple(draw(st.lists(ODD_TEXT, min_size=n, max_size=n))) if n else ()
     decoration = draw(st.dictionaries(st.integers(-12, 12), ODD_TEXT, max_size=4))
     return PrecubicalSet(cells, faces, syms, labels, decoration, draw(st.none() | CELL_IDS))
+
+
+@st.composite
+def renumbered_cubes(draw):
+    """A truncated standard cube of up to three letters with its cells
+    renumbered at random in each dimension, decorated vertices and maybe
+    an initial vertex, built by ``glue``: a set the relations hold on."""
+    word = draw(st.lists(st.sampled_from(["a", "b", "tau", '"']), max_size=3))
+    K = truncate(standard_cube(word), draw(st.integers(0, len(word))))
+    ids = {}
+    for n in K.dims():
+        new = draw(st.lists(CELL_IDS, min_size=len(K.ncells(n)), max_size=len(K.ncells(n)),
+                            unique=True))
+        ids.update(zip([(n, c) for c in K.ncells(n)], new))
+    vertices = [ids[(0, v)] for v in K.vertices]
+    decoration = draw(st.dictionaries(st.sampled_from(vertices), ODD_TEXT, max_size=3))
+    out = glue([(K, ids)], draw(st.none() | st.sampled_from(vertices)))
+    return replace(out, decoration=decoration)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(K=raw_precubes())
 def test_generated_precubes_are_written_as_json_dumps_writes_them(K):
     assert_written_from_tables(K)
+
+
+def assert_make_precube_rebuilds(K):
+    """``make_precube`` of ``K``'s keyed tables is ``K``, written to the
+    same bytes, or fails as ``check_relations(K)`` fails."""
+    keyed = (K.cells, *keyed_tables(K), K.decoration, K.initial, K.truncated)
+    try:
+        check_relations(K)
+    except PrecubeError as exc:
+        with pytest.raises(PrecubeError) as again:
+            make_precube(*keyed)
+        assert str(again.value) == str(exc)
+        return
+    rebuilt = make_precube(*keyed)
+    assert rebuilt == K and dumps(rebuilt) == dumps(K)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(K=raw_precubes())
+def test_make_precube_rebuilds_generated_sets_or_fails_as_the_check_fails(K):
+    assert_make_precube_rebuilds(K)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(K=renumbered_cubes())
+def test_make_precube_rebuilds_renumbered_cubes(K):
+    check_relations(K)
+    assert_make_precube_rebuilds(K)

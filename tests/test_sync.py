@@ -15,19 +15,20 @@ from corpus import (
     _word_pair_map,
     non_twisted,
     random_precube_wedge,
+    keyed_tables,
     sync_edges,
     word_keyed_tensor_sync,
 )
 from hdts import (
     CubeEncoding,
     PrecubeError,
-    PrecubicalSet,
     check_relations,
     cosk_directed,
     cube,
     fibered_product,
     iso_check,
     iso_check_precube,
+    make_precube,
     realize,
     standard_cube,
     tensor_sync,
@@ -54,7 +55,7 @@ def skeleton_vertex_iso(word):
 
 
 def point():
-    return PrecubicalSet({0: (0,)}, {}, {}, {})
+    return make_precube({0: (0,)}, {}, {}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,7 @@ def self_swapped_square():
     faces = {(1, 0, 1, 0): 0, (1, 0, 1, 1): 1, (1, 1, 1, 0): 1, (1, 1, 1, 1): 2}
     faces.update({(2, 0, i, alpha): alpha for i in (1, 2) for alpha in (0, 1)})
     labels = {(1, 0): ("a",), (1, 1): ("a",), (2, 0): ("a", "a")}
-    return PrecubicalSet({0: (0, 1, 2), 1: (0, 1), 2: (0,)}, faces, {(2, 0, 1): 0}, labels)
+    return make_precube({0: (0, 1, 2), 1: (0, 1), 2: (0,)}, faces, {(2, 0, 1): 0}, labels)
 
 
 def test_tensor_identifies_interiors_under_the_stabilizer():
@@ -381,12 +382,13 @@ def renumbered(K, perm):
     def f(d, c):
         return perm[d][c]
 
-    faces = {(d, f(d, c), i, a): f(d - 1, v) for (d, c, i, a), v in K.faces.items()}
-    syms = {(d, f(d, c), i): f(d, v) for (d, c, i), v in K.syms.items()}
-    labels = {(d, f(d, c)): w for (d, c), w in K.labels.items()}
+    faces, syms, labels = keyed_tables(K)
+    faces = {(d, f(d, c), i, a): f(d - 1, v) for (d, c, i, a), v in faces.items()}
+    syms = {(d, f(d, c), i): f(d, v) for (d, c, i), v in syms.items()}
+    labels = {(d, f(d, c)): w for (d, c), w in labels.items()}
     decoration = {f(0, v): text for v, text in K.decoration.items()}
     initial = None if K.initial is None else f(0, K.initial)
-    return PrecubicalSet(K.cells, faces, syms, labels, decoration, initial)
+    return make_precube(K.cells, faces, syms, labels, decoration, initial)
 
 
 def reversed_ids(K, n):
