@@ -627,113 +627,90 @@ def disjoint_union(*objects: WeakHDTS) -> WeakHDTS:
 # morphism enumeration and isomorphism search
 
 
-def _signatures(z: WeakHDTS) -> dict[int, tuple]:
-    """Per state, the sorted label words of its outgoing and incoming transitions."""
-    lab = z.label_map()
-    sig: dict[int, list] = {s: [] for s in z.states}
-    for t in z.transitions:
-        w = tuple(sorted(lab[a] for a in t.acts))
-        sig[t.src].append(("out", w))
-        sig[t.tgt].append(("in", w))
-    return {s: tuple(sorted(v)) for s, v in sig.items()}
+def _homs(src: WeakHDTS, dst: WeakHDTS, injective: bool):
+    """Morphisms src -> dst, injective ones only with ``injective``.
 
-
-def _homs(src: WeakHDTS, dst: WeakHDTS, signatures=None):
-    """Morphisms src -> dst, in the order of ``hom_enumerate``.
-
-    A partial assignment is pruned as soon as some transition's image
-    cannot exist in ``dst``.  With ``signatures`` (a pair of
-    ``_signatures``), maps are injective and keep each state's
-    signature; between systems of equal sizes they are isomorphisms.
+    States are assigned breadth-first along src's transitions: the first
+    state of a component takes any state, and every later one a state
+    that its assigned neighbour's image reaches by a transition with the
+    same label word.  A transition's actions come right after both its
+    ends, and each transition is checked when the last of its states
+    and actions is assigned.
     """
-    src_label = src.label_map()
+    src_label, dst_label = src.label_map(), dst.label_map()
     by_label: dict[str, list[int]] = defaultdict(list)
     for a in dst.actions:  # sorted by id
         by_label[a.label].append(a.id)
-    fwd, bwd = defaultdict(set), defaultdict(set)  # (state, acts) -> targets, sources
+    reach = defaultdict(set)  # (state, direction, label word) -> neighbours
     for t in dst.transitions:
-        fwd[(t.src, t.acts)].add(t.tgt)
-        bwd[(t.tgt, t.acts)].add(t.src)
-    dst_msets = {t.acts for t in dst.transitions}
+        word = tuple(sorted(map(dst_label.get, t.acts)))
+        reach[(t.src, 1, word)].add(t.tgt)
+        reach[(t.tgt, -1, word)].add(t.src)
+    reach = {key: sorted(ends) for key, ends in reach.items()}
+    dst_trans = {(t.src, t.acts, t.tgt) for t in dst.transitions}
 
-    completed_by: dict[int, list[Transition]] = defaultdict(list)  # by largest action
     touching: dict[int, list[Transition]] = defaultdict(list)
-    for t in sorted(src.transitions):
-        completed_by[t.acts[-1]].append(t)
+    for t in _ordered(src.transitions):
         touching[t.src].append(t)
         if t.tgt != t.src:
             touching[t.tgt].append(t)
-    incident = sorted(touching)
-    order = [("a", a) for a in src.action_ids]
-    order += [("s", s) for s in incident + sorted(src.states - set(incident))]
-
+    via: dict[tuple, tuple | None] = {}  # the variables in order: state -> (neighbour, dir, word)
+    for root in sorted(src.states):
+        if ("s", root) in via:
+            continue
+        via["s", root] = None
+        queue = [root]
+        for s in queue:  # breadth first: the queue grows while it is read
+            for t in touching[s]:
+                u, d = (t.tgt, 1) if t.src == s else (t.src, -1)
+                if ("s", u) not in via:
+                    via["s", u] = (s, d, tuple(sorted(map(src_label.get, t.acts))))
+                    queue.append(u)
+                for a in t.acts:
+                    via.setdefault(("a", a))
+    for a in src.action_ids:
+        via.setdefault(("a", a))
+    order = list(via)
+    rank = {var: k for k, var in enumerate(order)}
+    checked_at = defaultdict(list)  # the last variable of each transition
+    for t in src.transitions:
+        ends = [("s", t.src), ("s", t.tgt)] + [("a", a) for a in t.acts]
+        checked_at[max(ends, key=rank.__getitem__)].append(t)
     dst_states = sorted(dst.states)
 
-    def candidates(var):
-        sort, x = var
-        return by_label.get(src_label[x], ()) if sort == "a" else dst_states
-
-    # each transition's image multiset, stored when its largest action is
-    # assigned; actions precede states in ``order``, so states see it current
-    image: dict[Transition, tuple[int, ...]] = {}
+    def candidates(var, assign):
+        if var[0] == "a":
+            return by_label.get(src_label[var[1]], ())
+        if via[var] is None:
+            return dst_states
+        s, d, word = via[var]
+        return reach.get((assign["s", s], d, word), ())
 
     def consistent(var, value, assign):
-        sort, x = var
-        if sort == "a":
-            for t in completed_by[x]:
-                acts = tuple(sorted(value if a == x else assign[("a", a)] for a in t.acts))
-                if acts not in dst_msets:
-                    return False
-                image[t] = acts
-            return True
-        if signatures is not None and signatures[0][x] != signatures[1][value]:
-            return False
-        for t in touching[x]:
-            s = value if t.src == x else assign.get(("s", t.src))
-            g = value if t.tgt == x else assign.get(("s", t.tgt))
-            if s is not None and g is not None:
-                ok = g in fwd.get((s, image[t]), ())
-            elif s is not None:
-                ok = (s, image[t]) in fwd
-            else:
-                ok = (g, image[t]) in bwd
-            if not ok:
-                return False
-        return True
-
-    for assign in backtrack(order, candidates, consistent, injective=signatures is not None):
-        yield HdtsMorphism(
-            src,
-            dst,
-            {x: v for (sort, x), v in assign.items() if sort == "s"},
-            {x: v for (sort, x), v in assign.items() if sort == "a"},
+        at = {**assign, var: value} if checked_at[var] else assign
+        return all(
+            (at["s", t.src], tuple(sorted(at["a", a] for a in t.acts)), at["s", t.tgt]) in dst_trans
+            for t in checked_at[var]
         )
+
+    for assign in backtrack(order, candidates, consistent, injective):
+        smap = {x: v for (sort, x), v in assign.items() if sort == "s"}
+        yield HdtsMorphism(src, dst, smap, {x: v for (sort, x), v in assign.items() if sort == "a"})
 
 
 def hom_enumerate(src: WeakHDTS, dst: WeakHDTS) -> list[HdtsMorphism]:
-    """All morphisms src -> dst, exhaustively, in a deterministic order.
-
-    Actions are assigned first (labels prune the hardest), then states
-    in order of transition incidence; partial assignments are pruned
-    against the target's transition indexes.  Worst case exponential.
-    """
-    return list(_homs(src, dst))
+    """All morphisms src -> dst, sorted by ``key()``; worst case exponential."""
+    return sorted(_homs(src, dst, False), key=HdtsMorphism.key)
 
 
 def is_orthogonal(system: WeakHDTS, f: HdtsMorphism) -> bool:
     """True iff every morphism f.src -> system factors uniquely through f."""
     via = [compose_morphisms(f, h).key() for h in hom_enumerate(f.dst, system)]
-    direct = sorted(h.key() for h in hom_enumerate(f.src, system))
-    return sorted(via) == direct
+    return sorted(via) == [h.key() for h in hom_enumerate(f.src, system)]
 
 
 def iso_check(left: WeakHDTS, right: WeakHDTS) -> HdtsMorphism | None:
-    """An isomorphism left -> right if one exists, found deterministically."""
-    sig_l, sig_r = _signatures(left), _signatures(right)
-
-    def invariants(z: WeakHDTS, sig: dict[int, tuple]):
-        return len(z.transitions), sorted(a.label for a in z.actions), sorted(sig.values())
-
-    if invariants(left, sig_l) != invariants(right, sig_r):
-        return None
-    return next(_homs(left, right, (sig_l, sig_r)), None)
+    """An isomorphism left -> right if one exists, found deterministically:
+    an injective morphism between systems of equal sizes."""
+    sizes = [(len(z.states), len(z.actions), len(z.transitions)) for z in (left, right)]
+    return next(_homs(left, right, True), None) if sizes[0] == sizes[1] else None

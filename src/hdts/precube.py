@@ -460,42 +460,51 @@ def sh_reflect(K: PrecubicalSet) -> tuple[PrecubicalSet, PrecubeMap]:
 
 
 def _maps(K: PrecubicalSet, L: PrecubicalSet, vertex_ok=None):
-    """Label-preserving maps K -> L, cells assigned in dimension order.
+    """Label-preserving maps K -> L, cells assigned from the top dimension down.
 
-    With ``vertex_ok``, maps are injective in each dimension and send a
+    A cell with an assigned coface, or else an assigned swap partner,
+    takes the matching face or swap of that cell's image, so by Yoneda
+    only the cells that are no face of another cell are searched.  With
+    ``vertex_ok``, maps are injective in each dimension and send a
     vertex c only to a vertex d with ``vertex_ok(c, d)``.
     """
-    order = [(n, c) for n in K.dims() for c in K.ncells(n)]
+    order = [(n, c) for n in reversed(K.dims()) for c in K.ncells(n)]
+    cofaces = defaultdict(list)  # (n, c) -> (e, j) with c at place j of e's face row
+    for n in K.dims():
+        for e, row in K.faces[n].items():
+            for j, c in enumerate(row):
+                cofaces[n - 1, c].append((e, j))
     by_dim_label: dict[tuple[int, tuple], list[int]] = {}
     for n in L.dims():
         for d in L.ncells(n):
             by_dim_label.setdefault((n, L.label(n, d)), []).append(d)
 
-    def candidates(var):
+    def candidates(var, assign):
         n, c = var
+        if cofaces[var]:
+            e, j = cofaces[var][0]
+            return (L.faces[n + 1][assign[n + 1, e]][j],)
+        for i, p in enumerate(K.syms[n][c]):
+            if (n, p) in assign:
+                return (L.syms[n][assign[n, p]][i],)
         return by_dim_label.get((n, K.label(n, c)), ())
 
     def consistent(var, d, assign) -> bool:
         n, c = var
-        if n == 0:
-            return vertex_ok is None or vertex_ok(c, d)
-        for i in range(1, n + 1):
-            for alpha in (0, 1):
-                if assign[(n - 1, K.face(n, c, i, alpha))] != L.face(n, d, i, alpha):
-                    return False
-        for i in range(1, n):
-            partner = (n, K.sym(n, c, i))
-            if partner in assign and assign[partner] != L.sym(n, d, i):
-                return False
-        return True
+        if n == 0 and vertex_ok is not None and not vertex_ok(c, d):
+            return False
+        if any(L.faces[n + 1][assign[n + 1, e]][j] != d for e, j in cofaces[var]):
+            return False
+        partners = zip(K.syms[n][c], L.syms[n][d])
+        return all((d if p == c else assign.get((n, p), s)) == s for p, s in partners)
 
     for assign in backtrack(order, candidates, consistent, injective=vertex_ok is not None):
         yield PrecubeMap(K, L, assign)
 
 
 def hom_enumerate_precube(K: PrecubicalSet, L: PrecubicalSet) -> list[PrecubeMap]:
-    """All label-preserving maps K -> L, in a deterministic order."""
-    return list(_maps(K, L))
+    """All label-preserving maps K -> L, sorted by ``key()``."""
+    return sorted(_maps(K, L), key=PrecubeMap.key)
 
 
 def iso_check_precube(
@@ -507,26 +516,10 @@ def iso_check_precube(
     """A dimensionwise bijective map K -> L commuting with everything."""
     if {n: len(K.ncells(n)) for n in K.dims()} != {n: len(L.ncells(n)) for n in L.dims()}:
         return None
-    for n in K.dims():
-        if sorted(K.label(n, c) for c in K.ncells(n)) != sorted(L.label(n, d) for d in L.ncells(n)):
-            return None
-
-    def vertex_sig(Z: PrecubicalSet):
-        sig = {v: [] for v in Z.vertices}
-        for e in Z.ncells(1):
-            sig[Z.face(1, e, 1, 0)].append(("out", Z.label(1, e)))
-            sig[Z.face(1, e, 1, 1)].append(("in", Z.label(1, e)))
-        return {v: tuple(sorted(s)) for v, s in sig.items()}
-
-    sig_k, sig_l = vertex_sig(K), vertex_sig(L)
-    if sorted(sig_k.values()) != sorted(sig_l.values()):
-        return None
 
     def vertex_ok(c, d) -> bool:
-        return (
-            sig_k[c] == sig_l[d]
-            and not (match_initial and (c == K.initial) != (d == L.initial))
-            and not (match_decoration and K.decoration.get(c) != L.decoration.get(d))
+        return not (match_initial and (c == K.initial) != (d == L.initial)) and not (
+            match_decoration and K.decoration.get(c) != L.decoration.get(d)
         )
 
     return next(_maps(K, L, vertex_ok), None)

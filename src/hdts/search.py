@@ -12,15 +12,16 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 def backtrack(
     order: Sequence[tuple],
-    candidates: Callable[[tuple], Iterable[Hashable]],
+    candidates: Callable[[tuple, dict], Iterable[Hashable]],
     consistent: Callable[[tuple, Hashable, dict], bool],
     injective: bool = False,
 ) -> Iterator[dict]:
     """Yield every complete assignment of the variables in ``order``.
 
-    ``candidates(var)`` lists the values to try for ``var``, in order;
-    ``consistent(var, value, assign)`` accepts or rejects one of them
-    against the partial assignment, which does not hold ``var`` yet.
+    ``candidates(var, assign)`` lists the values to try for ``var``, in
+    order, and may draw them from the values of earlier variables;
+    ``consistent(var, value, assign)`` accepts or rejects one of them.
+    Both see the partial assignment, which does not hold ``var`` yet.
     Variables are tuples whose first item names their sort; with
     ``injective``, two variables of one sort never take the same value.
     Assignments come out in lexicographic order of the candidate lists,
@@ -32,7 +33,7 @@ def backtrack(
     last = len(order) - 1
     assign: dict = {}
     used: dict = defaultdict(set)
-    stack = [iter(candidates(order[0]))]
+    stack = [iter(candidates(order[0], assign))]
     while stack:
         var = order[len(stack) - 1]
         if var in assign:  # back at this level: undo its previous value
@@ -53,4 +54,4 @@ def backtrack(
         if len(stack) > last:
             yield dict(assign)
         else:
-            stack.append(iter(candidates(order[len(stack)])))
+            stack.append(iter(candidates(order[len(stack)], assign)))

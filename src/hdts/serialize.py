@@ -2,11 +2,11 @@
 
 Readers are strict: any violation of the documented schemas (unsorted
 action multisets, dangling references, malformed words, a JSON boolean
-where an integer belongs) is rejected with a path-qualified message.
-Writers sort everything, so identical values produce byte-identical
-documents.  A precubical set's document is written straight from its
-cell tables, row by row; its bytes are those of
-``json.dumps(precube_to_json(K), sort_keys=True, indent=2)``.
+where an integer belongs, a key the schema does not use) is rejected
+with a path-qualified message.  Writers sort everything, so identical
+values produce byte-identical documents.  A precubical set's document
+is written straight from its cell tables, row by row; its bytes are
+those of ``json.dumps(precube_to_json(K), sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .core import Action, Transition, WeakHDTS
 from .precube import PrecubeError, PrecubicalSet, make_precube
 
 DEFAULT_TAU = "tau"
+_ROW_KEYS = {0: ("id",), 1: ("id", "d10", "d11", "label")}  # higher cells: faces, syms
 
 
 class SchemaError(ValueError):
@@ -28,6 +29,12 @@ class SchemaError(ValueError):
 def _need(cond: bool, path: str, msg: str) -> None:
     if not cond:
         raise SchemaError(f"{path}: {msg}")
+
+
+def _known(obj: dict, keys: tuple, path: str) -> None:
+    """Reject the first key of ``obj`` that is not one of ``keys``."""
+    for key in obj:
+        _need(key in keys, path + key, "unexpected key")
 
 
 def _int_key(key: str, signed: bool = False) -> bool:
@@ -104,6 +111,7 @@ def hdts_to_json(X: WeakHDTS) -> dict:
 
 def hdts_from_json(doc) -> WeakHDTS:
     _need(isinstance(doc, dict), "$", "system must be an object")
+    _known(doc, ("states", "actions", "transitions"), "")
     states = doc.get("states")
     _need(isinstance(states, list) and all(_int(s) for s in states),
           "states", "must be a list of integers")
@@ -115,6 +123,7 @@ def hdts_from_json(doc) -> WeakHDTS:
     for k, a in enumerate(doc.get("actions", ())):
         path = f"actions[{k}]"
         _need(isinstance(a, dict), path, "must be an object")
+        _known(a, ("id", "label"), f"{path}.")
         _need(_int(a.get("id")), f"{path}.id", "must be an integer")
         _need(isinstance(a.get("label"), str), f"{path}.label", "must be a string")
         _need(a["id"] not in seen, f"{path}.id", "duplicate action id")
@@ -125,6 +134,7 @@ def hdts_from_json(doc) -> WeakHDTS:
     for k, t in enumerate(doc.get("transitions", ())):
         path = f"transitions[{k}]"
         _need(isinstance(t, dict), path, "must be an object")
+        _known(t, ("src", "acts", "tgt"), f"{path}.")
         acts = t.get("acts")
         _need(isinstance(acts, list) and acts, f"{path}.acts", "must be a non-empty list")
         _need(all(_int(a) for a in acts), f"{path}.acts", "must hold integers")
@@ -228,6 +238,7 @@ def _precube_text(K: PrecubicalSet) -> str:
 
 def precube_from_json(doc) -> PrecubicalSet:
     _need(isinstance(doc, dict), "$", "precubical set must be an object")
+    _known(doc, ("dims", "initial", "decoration"), "")
     dims = doc.get("dims")
     _need(isinstance(dims, dict), "dims", "must be an object")
     cells: dict[int, list[int]] = {}
@@ -241,6 +252,7 @@ def precube_from_json(doc) -> PrecubicalSet:
         for k, row in enumerate(rows):
             path = f"dims.{key}[{k}]"
             _need(isinstance(row, dict), path, "must be an object")
+            _known(row, _ROW_KEYS.get(n, ("id", "faces", "syms", "label")), f"{path}.")
             _need(_int(row.get("id")), f"{path}.id", "must be an integer")
             c = row["id"]
             ids.append(c)

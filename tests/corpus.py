@@ -8,7 +8,9 @@ composes a morphism between cube systems for every face and swap, the
 cube oracles build and validate one encoding per composite, the gluing
 oracles merge union-find classes cell by cell and rebuild and recheck
 each compiled set whole, the scope oracle parses a term by the grammar
-alone and then walks it for free and unguarded variables, and the
+alone and then walks it for free and unguarded variables, the
+sort-ordered morphism searches assign every variable of one sort before
+the next and prune only by what is assigned, and the
 random closed systems are closed by the library only as a final step
 (they are not valid inputs otherwise).
 """
@@ -60,6 +62,7 @@ from hdts.precube import (
     make_precube,
 )
 from hdts.realize import Cubification, realize, realize_cube_map
+from hdts.search import backtrack
 from hdts.unionfind import UnionFind
 
 ALPHA = DEFAULT_ALPHABET
@@ -1239,3 +1242,190 @@ def word_cube(word: tuple[str, ...]) -> WeakHDTS:
             dirs = tuple(i + 1 for i in range(n) if lo[i] != hi[i])
             trans.add(Transition(cube_state_id(lo), dirs, cube_state_id(hi)))
     return WeakHDTS(states, actions, frozenset(trans))
+
+
+# ---------------------------------------------------------------------------
+# the sort-ordered morphism searches (oracles for hdts.core._homs and
+# hdts.precube._maps, which follow the structure instead): every action
+# before any state, and every vertex before any edge, each pruned only by
+# what the assigned variables already decide.  The precube search never
+# compares a cell that is its own swap partner with its image's swap, so
+# it accepts maps that break such a swap.
+
+
+def sorted_order_signatures(z: WeakHDTS) -> dict[int, tuple]:
+    """Per state, the sorted label words of its outgoing and incoming transitions."""
+    lab = z.label_map()
+    sig: dict[int, list] = {s: [] for s in z.states}
+    for t in z.transitions:
+        w = tuple(sorted(lab[a] for a in t.acts))
+        sig[t.src].append(("out", w))
+        sig[t.tgt].append(("in", w))
+    return {s: tuple(sorted(v)) for s, v in sig.items()}
+
+
+def sorted_order_homs(src: WeakHDTS, dst: WeakHDTS, signatures=None):
+    """Morphisms src -> dst, in the order of ``sorted_order_hom_enumerate``.
+
+    A partial assignment is pruned as soon as some transition's image
+    cannot exist in ``dst``.  With ``signatures`` (a pair of
+    ``sorted_order_signatures``), maps are injective and keep each state's
+    signature; between systems of equal sizes they are isomorphisms.
+    """
+    src_label = src.label_map()
+    by_label: dict[str, list[int]] = defaultdict(list)
+    for a in dst.actions:  # sorted by id
+        by_label[a.label].append(a.id)
+    fwd, bwd = defaultdict(set), defaultdict(set)  # (state, acts) -> targets, sources
+    for t in dst.transitions:
+        fwd[(t.src, t.acts)].add(t.tgt)
+        bwd[(t.tgt, t.acts)].add(t.src)
+    dst_msets = {t.acts for t in dst.transitions}
+
+    completed_by: dict[int, list[Transition]] = defaultdict(list)  # by largest action
+    touching: dict[int, list[Transition]] = defaultdict(list)
+    for t in sorted(src.transitions):
+        completed_by[t.acts[-1]].append(t)
+        touching[t.src].append(t)
+        if t.tgt != t.src:
+            touching[t.tgt].append(t)
+    incident = sorted(touching)
+    order = [("a", a) for a in src.action_ids]
+    order += [("s", s) for s in incident + sorted(src.states - set(incident))]
+
+    dst_states = sorted(dst.states)
+
+    def candidates(var, assign):
+        sort, x = var
+        return by_label.get(src_label[x], ()) if sort == "a" else dst_states
+
+    # each transition's image multiset, stored when its largest action is
+    # assigned; actions precede states in ``order``, so states see it current
+    image: dict[Transition, tuple[int, ...]] = {}
+
+    def consistent(var, value, assign):
+        sort, x = var
+        if sort == "a":
+            for t in completed_by[x]:
+                acts = tuple(sorted(value if a == x else assign[("a", a)] for a in t.acts))
+                if acts not in dst_msets:
+                    return False
+                image[t] = acts
+            return True
+        if signatures is not None and signatures[0][x] != signatures[1][value]:
+            return False
+        for t in touching[x]:
+            s = value if t.src == x else assign.get(("s", t.src))
+            g = value if t.tgt == x else assign.get(("s", t.tgt))
+            if s is not None and g is not None:
+                ok = g in fwd.get((s, image[t]), ())
+            elif s is not None:
+                ok = (s, image[t]) in fwd
+            else:
+                ok = (g, image[t]) in bwd
+            if not ok:
+                return False
+        return True
+
+    for assign in backtrack(order, candidates, consistent, injective=signatures is not None):
+        yield HdtsMorphism(
+            src,
+            dst,
+            {x: v for (sort, x), v in assign.items() if sort == "s"},
+            {x: v for (sort, x), v in assign.items() if sort == "a"},
+        )
+
+
+def sorted_order_hom_enumerate(src: WeakHDTS, dst: WeakHDTS) -> list[HdtsMorphism]:
+    """All morphisms src -> dst, exhaustively, in a deterministic order.
+
+    Actions are assigned first (labels prune the hardest), then states
+    in order of transition incidence; partial assignments are pruned
+    against the target's transition indexes.  Worst case exponential.
+    """
+    return list(sorted_order_homs(src, dst))
+
+
+def sorted_order_iso_check(left: WeakHDTS, right: WeakHDTS) -> HdtsMorphism | None:
+    """An isomorphism left -> right if one exists, found deterministically."""
+    sig_l, sig_r = sorted_order_signatures(left), sorted_order_signatures(right)
+
+    def invariants(z: WeakHDTS, sig: dict[int, tuple]):
+        return len(z.transitions), sorted(a.label for a in z.actions), sorted(sig.values())
+
+    if invariants(left, sig_l) != invariants(right, sig_r):
+        return None
+    return next(sorted_order_homs(left, right, (sig_l, sig_r)), None)
+
+
+def sorted_order_maps(K: PrecubicalSet, L: PrecubicalSet, vertex_ok=None):
+    """Label-preserving maps K -> L, cells assigned in dimension order.
+
+    With ``vertex_ok``, maps are injective in each dimension and send a
+    vertex c only to a vertex d with ``vertex_ok(c, d)``.
+    """
+    order = [(n, c) for n in K.dims() for c in K.ncells(n)]
+    by_dim_label: dict[tuple[int, tuple], list[int]] = {}
+    for n in L.dims():
+        for d in L.ncells(n):
+            by_dim_label.setdefault((n, L.label(n, d)), []).append(d)
+
+    def candidates(var, assign):
+        n, c = var
+        return by_dim_label.get((n, K.label(n, c)), ())
+
+    def consistent(var, d, assign) -> bool:
+        n, c = var
+        if n == 0:
+            return vertex_ok is None or vertex_ok(c, d)
+        for i in range(1, n + 1):
+            for alpha in (0, 1):
+                if assign[(n - 1, K.face(n, c, i, alpha))] != L.face(n, d, i, alpha):
+                    return False
+        for i in range(1, n):
+            partner = (n, K.sym(n, c, i))
+            if partner in assign and assign[partner] != L.sym(n, d, i):
+                return False
+        return True
+
+    for assign in backtrack(order, candidates, consistent, injective=vertex_ok is not None):
+        yield PrecubeMap(K, L, assign)
+
+
+def sorted_order_hom_enumerate_precube(K: PrecubicalSet, L: PrecubicalSet) -> list[PrecubeMap]:
+    """All label-preserving maps K -> L, in a deterministic order."""
+    return list(sorted_order_maps(K, L))
+
+
+def sorted_order_iso_check_precube(
+    K: PrecubicalSet,
+    L: PrecubicalSet,
+    match_initial: bool = False,
+    match_decoration: bool = False,
+) -> PrecubeMap | None:
+    """A dimensionwise bijective map K -> L commuting with everything."""
+    if {n: len(K.ncells(n)) for n in K.dims()} != {n: len(L.ncells(n)) for n in L.dims()}:
+        return None
+    for n in K.dims():
+        if sorted(K.label(n, c) for c in K.ncells(n)) != sorted(L.label(n, d) for d in L.ncells(n)):
+            return None
+
+    def vertex_sig(Z: PrecubicalSet):
+        sig = {v: [] for v in Z.vertices}
+        for e in Z.ncells(1):
+            sig[Z.face(1, e, 1, 0)].append(("out", Z.label(1, e)))
+            sig[Z.face(1, e, 1, 1)].append(("in", Z.label(1, e)))
+        return {v: tuple(sorted(s)) for v, s in sig.items()}
+
+    sig_k, sig_l = vertex_sig(K), vertex_sig(L)
+    if sorted(sig_k.values()) != sorted(sig_l.values()):
+        return None
+
+    def vertex_ok(c, d) -> bool:
+        return (
+            sig_k[c] == sig_l[d]
+            and not (match_initial and (c == K.initial) != (d == L.initial))
+            and not (match_decoration and K.decoration.get(c) != L.decoration.get(d))
+        )
+
+    return next(sorted_order_maps(K, L, vertex_ok), None)

@@ -194,6 +194,47 @@ def test_json_booleans_are_not_ids(tmp_path, capsys, doc, path):
         assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
+SQUARE = '{"dims": {%s}}' % (SQUARE_ROWS % (SQUARE_FACES, '"1": 0'))
+EDGE, SYSTEM = EDGE_PRECUBE % (1, 1, 0), EDGE_SYSTEM % (1, 1, 0, 1, 1)
+UNEXPECTED_KEYS = [
+    (EDGE, (), "bar", "bar"),
+    (EDGE, ("dims", "0", 0), "label", "dims.0[0].label"),
+    (EDGE, ("dims", "0", 0), "d10", "dims.0[0].d10"),
+    (EDGE, ("dims", "0", 1), "faces", "dims.0[1].faces"),
+    (EDGE, ("dims", "1", 0), "faces", "dims.1[0].faces"),
+    (EDGE, ("dims", "1", 0), "syms", "dims.1[0].syms"),
+    (EDGE, ("dims", "1", 0), "foo", "dims.1[0].foo"),
+    (SQUARE, ("dims", "2", 0), "d10", "dims.2[0].d10"),
+    (SQUARE, ("dims", "2", 0), "foo", "dims.2[0].foo"),
+    (SYSTEM, (), "bar", "bar"),
+    (SYSTEM, ("actions", 0), "extra", "actions[0].extra"),
+    (SYSTEM, ("transitions", 0), "label", "transitions[0].label"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,where,key,path", UNEXPECTED_KEYS, ids=[path for *_, path in UNEXPECTED_KEYS]
+)
+def test_keys_the_schema_does_not_use_are_input_errors(tmp_path, capsys, doc, where, key, path):
+    # the reader used to accept them and export to drop them
+    valid = tmp_path / "valid.json"
+    valid.write_text(doc)
+    assert main(["check", str(valid)]) == 0
+    data = json.loads(doc)
+    target = data
+    for step in where:
+        target = target[step]
+    target[key] = 2
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(data))
+    capsys.readouterr()
+    for command in (["check"], ["export", "--format", "json"]):
+        code = main([command[0], str(file)] + command[1:])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {path}: unexpected key\n"
+
+
 @pytest.mark.parametrize(
     "labels,path",
     [([["x"], "tau"], "labels[0]"), ([1, "tau"], "labels[0]"), (["x", {"y": 1}], "labels[1]")],
