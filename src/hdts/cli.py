@@ -104,7 +104,7 @@ def cmd_realize(args) -> int:
     if kind != "precube":
         raise _InputError(f"{args.path} does not hold a precubical set")
     system = realize(obj).system
-    _emit(serialize.dumps(serialize.hdts_to_json(system)), args.out)
+    _emit(serialize.dumps(system), args.out)
     return 0
 
 
@@ -113,29 +113,16 @@ def cmd_cubify(args) -> int:
     if kind != "hdts":
         raise _InputError(f"{args.path} does not hold a transition system")
     result = cubify(obj)
-    attestation = {
-        "state_bijection": True,
-        "states": len(obj.states),
-        "actions_in": len(obj.actions),
-        "actions_out": len(result.system.actions),
-    }
+    attestation = {"state_bijection": True, "states": len(obj.states),
+                   "actions_in": len(obj.actions), "actions_out": len(result.system.actions)}
+    parts = {"complex": result.complex, "system": result.system}
     if args.out_prefix:
         prefix = Path(args.out_prefix)
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        Path(f"{prefix}.complex.json").write_text(
-            serialize.dumps(result.complex), encoding="utf-8"
-        )
-        Path(f"{prefix}.system.json").write_text(
-            serialize.dumps(serialize.hdts_to_json(result.system)), encoding="utf-8"
-        )
-        sys.stdout.write(serialize.dumps(attestation))
-    else:
-        doc = {
-            "complex": serialize.precube_to_json(result.complex),
-            "system": serialize.hdts_to_json(result.system),
-            "attestation": attestation,
-        }
-        sys.stdout.write(serialize.dumps(doc))
+        for part, value in parts.items():
+            Path(f"{prefix}.{part}.json").write_text(serialize.dumps(value), encoding="utf-8")
+    shown = attestation if args.out_prefix else {**parts, "attestation": attestation}
+    sys.stdout.write(serialize.dumps(shown))
     return 0
 
 
@@ -145,15 +132,12 @@ def cmd_export(args) -> int:
     _check_labels(obj, kind, cfg)
     tau = cfg.tau if cfg is not None else serialize.DEFAULT_TAU
     if args.format == "json":
-        doc = serialize.hdts_to_json(obj) if kind == "hdts" else obj
-        _emit(serialize.dumps(doc), args.out)
+        text = serialize.dumps(obj)
+    elif kind == "hdts":
+        text = serialize.hdts_to_dot(obj, tau)
     else:
-        text = (
-            serialize.hdts_to_dot(obj, tau)
-            if kind == "hdts"
-            else serialize.precube_to_dot(obj, tau)
-        )
-        _emit(text, args.out)
+        text = serialize.precube_to_dot(obj, tau)
+    _emit(text, args.out)
     return 0
 
 
@@ -179,9 +163,8 @@ def cmd_fixtures(args) -> int:
         for name in fixtures.fixture_names():
             print(name)
         return 0
-    kind, obj = fixtures.build_fixture(args.name)
-    doc = serialize.hdts_to_json(obj) if kind == "hdts" else obj
-    _emit(serialize.dumps(doc), args.out)
+    _, obj = fixtures.build_fixture(args.name)
+    _emit(serialize.dumps(obj), args.out)
     return 0
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     Action,
@@ -214,6 +216,15 @@ def in_hda_hdts(K: PrecubicalSet) -> bool:
 # cubification
 
 
+@lru_cache(maxsize=None)
+def _inner_masks(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per ordering ``perm`` of positions 0..n-1, the mask of each inner
+    vertex ``eps`` of ``cube_vertices(n)``: bits ``perm[j]`` with ``eps_j = 1``."""
+    inner = cube_vertices(n)[1:-1]
+    return tuple((perm, tuple(sum(1 << p for p, bit in zip(perm, eps) if bit) for eps in inner))
+                 for perm in itertools.permutations(range(n)))
+
+
 def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple]:
     """All morphisms from n-cubes into ``X`` as sorted tables (label word,
     state of each vertex in ``cube_vertices(n)`` order, action of each direction).
@@ -222,38 +233,40 @@ def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple]:
     transition), an ordering of its multiset, and one intermediate state
     per inner vertex; only transitions leaving the bottom corner or
     entering the top corner constrain the choice, which suffices for
-    coherence-closed systems."""
+    coherence-closed systems.  Intermediates are looked up per position
+    mask of the multiset; an ordering reads them by ``_inner_masks``."""
     if n == 0:
         return [((), (s,), ()) for s in sorted(X.states)]
     idx = _Index(X.transitions)
     labels = X.label_map()
-    inner = cube_vertices(n)[1:-1]
     out = []
     for t in X.transitions:
         if t.arity != n:
             continue
-        for acts in set(itertools.permutations(t.acts)):
-            word = tuple(labels[u] for u in acts)
-            options = [
-                idx.intermediates(t, tuple(sorted(a for a, bit in zip(acts, eps) if bit)))
-                for eps in inner
-            ]
+        between = [None] + [
+            idx.intermediates(t, tuple(a for p, a in enumerate(t.acts) if mask >> p & 1))
+            for mask in range(1, (1 << n) - 1)
+        ]
+        orderings = {tuple(map(t.acts.__getitem__, perm)): masks for perm, masks in _inner_masks(n)}
+        for ordering, masks in orderings.items():
+            word = tuple(map(labels.__getitem__, ordering))
+            options = map(between.__getitem__, masks)
             for states in itertools.product([t.src], *options, [t.tgt]):
-                out.append((word, states, acts))
+                out.append((word, states, ordering))
     return sorted(out)
 
 
-def _cell(index: dict[tuple, int], enc: CubeEncoding, table: tuple) -> int:
-    """The cell of ``enc`` followed by ``table``: precomposition is reindexing."""
-    word, states, acts = table
-    key = (
-        word_along(word, enc),
-        tuple(states[v] for v in vertex_ids(enc)),
-        word_along(acts, enc),
-    )
-    if key not in index:
-        raise StructureError(f"the input is not coherence-closed: {table} has no face {key}")
-    return index[key]
+@lru_cache(maxsize=None)
+def _entry_readers(n: int) -> tuple[tuple[Callable, ...], tuple[Callable, ...]]:
+    """Per face map [n-1] -> [n] (in face row order) and per swap map of
+    [n], the reader of its precomposite's ``states + acts`` off an
+    n-table's ``states + acts``: precomposition is reindexing."""
+    def reader(enc: CubeEncoding) -> Callable:
+        pos = vertex_ids(enc) + tuple((1 << n) + p for p in word_along(range(n), enc))
+        return itemgetter(*pos) if len(pos) > 1 else lambda seq: (seq[pos[0]],)
+
+    faces = [face_encoding(i, alpha, n) for i in range(1, n + 1) for alpha in (0, 1)]
+    return tuple(map(reader, faces)), tuple(reader(sym_encoding(i, n)) for i in range(1, n))
 
 
 @dataclass(frozen=True)
@@ -276,21 +289,26 @@ def cubify(X: WeakHDTS) -> Cubification:
     raises ``StructureError``."""
     max_arity = max((t.arity for t in X.transitions), default=0)
     per_dim = [cube_maps_into(n, X) for n in range(max_arity + 1)]
-    index = [{table: k for k, table in enumerate(maps)} for maps in per_dim]
     faces, syms, labels = {}, {}, {}
+    lower: dict[tuple, int] = {}  # the (n-1)-tables by states + acts
     for n, maps in enumerate(per_dim):
-        if not maps:
-            continue
-        face_maps = [face_encoding(i, alpha, n) for i in range(1, n + 1) for alpha in (0, 1)]
-        swap_maps = [sym_encoding(i, n) for i in range(1, n)]
-        labels[n] = {k: table[0] for k, table in enumerate(maps)}
-        faces[n] = {
-            k: tuple(_cell(index[n - 1], h, table) for h in face_maps)
-            for k, table in enumerate(maps)
-        }
-        syms[n] = {
-            k: tuple(_cell(index[n], h, table) for h in swap_maps) for k, table in enumerate(maps)
-        }
+        index = {states + acts: k for k, (_, states, acts) in enumerate(maps)}
+        if maps:
+            face_readers, swap_readers = _entry_readers(n)
+            labels[n] = {k: table[0] for k, table in enumerate(maps)}
+            faces[n], syms[n] = {}, {}
+        for k, seq in enumerate(index):
+            try:
+                faces[n][k] = tuple(map(lower.__getitem__, [read(seq) for read in face_readers]))
+            except KeyError as exc:
+                states, acts = exc.args[0][: 1 << n >> 1], exc.args[0][1 << n >> 1:]
+                face = (tuple(map(X.label, acts)), states, acts)
+                raise StructureError(
+                    f"the input is not coherence-closed: {maps[k]} has no face {face}"
+                ) from None
+            # a swap of a cube map is a cube map of another ordering: always found
+            syms[n][k] = tuple(map(index.__getitem__, [read(seq) for read in swap_readers]))
+        lower = index
     complex_ = PrecubicalSet({n: rows.keys() for n, rows in faces.items()}, faces, syms, labels)
     r = realize(complex_)
     smap = {k: states[0] for k, (_, states, _) in enumerate(per_dim[0])}

@@ -4,9 +4,9 @@ Readers are strict: any violation of the documented schemas (unsorted
 action multisets, dangling references, malformed words, a JSON boolean
 where an integer belongs, a key the schema does not use) is rejected
 with a path-qualified message.  Writers sort everything, so identical
-values produce byte-identical documents.  A precubical set's document
-is written straight from its cell tables, row by row; its bytes are
-those of ``json.dumps(precube_to_json(K), sort_keys=True, indent=2)``.
+values produce byte-identical documents.  Sets, systems and the cubify
+document are written from their fields, to the bytes ``json.dumps`` gives
+for their dict forms (``precube_to_json``, ``hdts_to_json``, indent 2).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .core import Action, Transition, WeakHDTS
 from .precube import PrecubeError, PrecubicalSet, make_precube
 
 DEFAULT_TAU = "tau"
+_quote_json = json.encoder.encode_basestring_ascii  # the escaper of json.dumps
 _ROW_KEYS = {0: ("id",), 1: ("id", "d10", "d11", "label")}  # higher cells: faces, syms
 
 
@@ -54,12 +55,25 @@ def _int(x) -> bool:
 def dumps(doc) -> str:
     """``doc`` as sorted JSON indented by 2, with a final newline.
 
-    ``doc`` is a JSON value (dicts, lists, strings, numbers, booleans,
-    None) or a ``PrecubicalSet``.  A set is written straight from its
-    tables, to the bytes ``json.dumps`` gives for ``precube_to_json``.
+    ``doc`` is a JSON value, a ``PrecubicalSet``, a ``WeakHDTS``, or a dict
+    with string keys holding some of them.  Sets and systems are written
+    from their fields, to the bytes ``json.dumps`` gives for their dict
+    forms; a dict holding them, from its values' texts indented once more.
     """
+    if isinstance(doc, dict) and any(isinstance(v, (PrecubicalSet, WeakHDTS))
+                                     for v in doc.values()):
+        parts = (f"  {_quote_json(k)}: " + _text(doc[k])[:-1].replace("\n", "\n  ")
+                 for k in sorted(doc))
+        return "{\n" + ",\n".join(parts) + "\n}\n"
+    return _text(doc)
+
+
+def _text(doc) -> str:
+    """``dumps`` of a set, a system or a JSON value."""
     if isinstance(doc, PrecubicalSet):
         return _precube_text(doc)
+    if isinstance(doc, WeakHDTS):
+        return _hdts_text(doc)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -107,6 +121,22 @@ def hdts_to_json(X: WeakHDTS) -> dict:
             for t in sorted(X.transitions)
         ],
     }
+
+
+_ACTION_ROW = '    {\n      "id": %s,\n      "label": %s\n    }'
+_TRANSITION_ROW = '    {\n      "acts": [\n%s\n      ],\n      "src": %s,\n      "tgt": %s\n    }'
+
+
+def _hdts_text(X: WeakHDTS) -> str:
+    """``dumps(hdts_to_json(X))``, written from ``X``'s fields."""
+    rows = {
+        "actions": [_ACTION_ROW % (a.id, _quote_json(a.label)) for a in X.actions],
+        "states": [f"    {s}" for s in sorted(X.states)],
+        "transitions": [_TRANSITION_ROW % (",\n".join(f"        {a}" for a in t.acts), t.src, t.tgt)
+                        for t in sorted(X.transitions, key=lambda t: (t.src, t.acts, t.tgt))],
+    }
+    out = (f'  "{k}": ' + ("[\n" + ",\n".join(r) + "\n  ]" if r else "[]") for k, r in rows.items())
+    return "{\n" + ",\n".join(out) + "\n}\n"
 
 
 def hdts_from_json(doc) -> WeakHDTS:
@@ -174,9 +204,6 @@ def precube_to_json(K: PrecubicalSet) -> dict:
     if K.decoration:
         doc["decoration"] = {str(v): d for v, d in sorted(K.decoration.items())}
     return doc
-
-
-_quote_json = json.encoder.encode_basestring_ascii  # the escaper of json.dumps
 
 
 @lru_cache(maxsize=None)

@@ -308,6 +308,31 @@ def test_cubify_lonely_action_is_empty(fixture_file, capsys):
     assert doc["system"]["states"] == []
 
 
+def test_writers_never_build_the_dict_forms(fixture_file, tmp_path, capsys, monkeypatch):
+    # every command writes systems and sets from their fields
+    paths = {name: fixture_file(name) for name in hdts.fixtures.fixture_names()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dict form was built")
+
+    for module_name, module in list(sys.modules.items()):
+        for name in ("hdts_to_json", "precube_to_json"):
+            if module_name.split(".")[0] == "hdts" and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="was built"):
+        hdts.serialize.hdts_to_json(cube("a"))  # the patch is seen by callers
+    for name, path in paths.items():
+        kind = build_fixture(name)[0]
+        runs = [["export", path, "--format", "json"], ["fixtures", "emit", name]]
+        if kind == "hdts":
+            runs += [["cubify", path], ["cubify", path, "--out-prefix", str(tmp_path / name)]]
+        else:
+            runs.append(["realize", path])
+        for argv in runs:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+    capsys.readouterr()
+
+
 def test_cubify_not_coherence_closed_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "unclosed.json"
     path.write_text(dumps(hdts_to_json(random_failing_hdts(345))), encoding="utf-8")

@@ -5,11 +5,13 @@ import itertools
 import pytest
 
 from corpus import (
+    morphism_cube_maps_into,
     morphism_cubify,
     morphism_is_iso,
     random_cube_gluing,
     random_failing_hdts,
     random_mixed_corpus,
+    random_weak_hdts,
     used_actions,
 )
 from hdts import (
@@ -40,7 +42,7 @@ from hdts import (
     unrealize_cube_map,
     validate,
 )
-from hdts.core import check_morphism
+from hdts.core import Action, WeakHDTS, check_morphism, transition
 from hdts.encoding import face_encoding, sym_encoding
 from hdts.fixtures import double_square, glued_span, not_strong_complex
 from hdts.precube import make_precube
@@ -335,7 +337,7 @@ def test_cube_maps_into_repeated_letter_cube():
     assert {w for w, _, _ in maps} == {("a", "a")}
 
 
-ORACLE_CUBE_WORDS = ["", "a", "ab", "aa", "abc", "aba", "abcd", "abcde"]
+ORACLE_CUBE_WORDS = ["", "a", "ab", "aa", "abc", "aba", "abcd", "abcde", "aabb", "abab"]
 
 
 def _cube_map_pairs():
@@ -366,6 +368,37 @@ def test_cube_maps_into_tables_are_exactly_the_hom_sets():
             for h in hom_enumerate(cube(w), X)
         ]
         assert sorted(got) == sorted(expected)
+
+
+def oracle_tables(n, X):
+    """``morphism_cube_maps_into`` as sorted tables (word, states by
+    vertex id, action per direction)."""
+    return sorted(
+        (w, tuple(map(g.state_map.get, range(2**n))), tuple(map(g.action_map.get, range(1, n + 1))))
+        for w, g in morphism_cube_maps_into(n, X)
+    )
+
+
+def test_cube_maps_into_a_repeated_action_id():
+    # (0, (1, 1), 3) splits through 1 and through 2; its multiset has one ordering
+    steps = [(0, 1), (1, 3), (0, 2), (2, 3)]
+    X = WeakHDTS(frozenset(range(4)), (Action(1, "a"),),
+                 frozenset([transition(s, (1,), t) for s, t in steps] + [transition(0, (1, 1), 3)]))
+    maps = cube_maps_into(2, X)
+    assert maps == oracle_tables(2, X)
+    assert [states for _, states, _ in maps] == [
+        (0, 1, 1, 3), (0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 2, 3)
+    ]
+    assert {acts for _, _, acts in maps} == {(1, 1)}
+
+
+def test_cube_maps_into_matches_the_oracle_off_closed_systems():
+    systems = [random_failing_hdts(seed) for seed in range(200)]
+    assert sum(not validate(X).coherence_closed for X in systems) == 52
+    systems += [random_weak_hdts(seed) for seed in range(20)]
+    for X in systems:
+        for n in range(max((t.arity for t in X.transitions), default=0) + 1):
+            assert cube_maps_into(n, X) == oracle_tables(n, X)
 
 
 # ---------------------------------------------------------------------------
@@ -459,5 +492,10 @@ def test_cubify_raises_where_the_morphism_oracle_fails():
 def test_cubify_missing_face_is_a_structure_error():
     X = random_failing_hdts(345)
     assert (len(X.states), len(X.transitions)) == (2, 12)
-    with pytest.raises(StructureError, match="not coherence-closed"):
+    with pytest.raises(StructureError, match="not coherence-closed") as err:
         cubify(X)
+    # the table of the cube map and the key of its missing face
+    assert str(err.value).endswith(
+        ": (('a', 'a', 'b'), (0, 1, 0, 1, 0, 1, 1, 1), (1, 2, 3))"
+        " has no face (('a', 'b'), (0, 1, 1, 1), (1, 3))"
+    )

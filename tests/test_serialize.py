@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,9 @@ from corpus import (
     pattern_words,
     random_rec_term,
 )
-from hdts import compile_text, cube, parallel_edges, standard_cube, truncate
+from hdts import compile_text, cube, cubify, parallel_edges, realize, standard_cube, truncate
+from hdts.cli import main
+from hdts.core import Action, WeakHDTS, transition
 from hdts.fixtures import build_fixture, fixture_names, not_strong_complex
 from hdts.precube import (
     EMPTY_PRECUBE,
@@ -303,3 +306,102 @@ def test_make_precube_rebuilds_generated_sets_or_fails_as_the_check_fails(K):
 def test_make_precube_rebuilds_renumbered_cubes(K):
     check_relations(K)
     assert_make_precube_rebuilds(K)
+
+
+# ---------------------------------------------------------------------------
+# the system writer and the cubify document against json.dumps of dicts
+
+
+def old_dumps(doc) -> str:
+    """What ``dumps`` wrote for every document before systems were
+    written from their fields: ``json.dumps`` of the dict forms."""
+    def plain(value):
+        if isinstance(value, WeakHDTS):
+            return hdts_to_json(value)
+        if isinstance(value, PrecubicalSet):
+            return precube_to_json(value)
+        return value
+
+    if isinstance(doc, dict):
+        doc = {key: plain(value) for key, value in doc.items()}
+    return json.dumps(plain(doc), sort_keys=True, indent=2) + "\n"
+
+
+#: small ids, both signs, and ids past 64 bits
+SYSTEM_IDS = st.integers(-3, 6) | st.sampled_from([-(2**63), 2**64, 10**30])
+
+
+@st.composite
+def raw_systems(draw):
+    """A ``WeakHDTS`` with up to five states and actions, odd labels and
+    up to six transitions of arity 1..3; lists may be empty."""
+    states = draw(st.lists(SYSTEM_IDS, max_size=5, unique=True))
+    ids = draw(st.lists(SYSTEM_IDS, max_size=5, unique=True))
+    actions = tuple(Action(a, draw(ODD_TEXT)) for a in ids)
+    transitions = []
+    if states and ids:
+        ends, acts = st.sampled_from(states), st.lists(st.sampled_from(ids), min_size=1, max_size=3)
+        transitions = draw(st.lists(st.builds(transition, ends, acts, ends), max_size=6))
+    return WeakHDTS(frozenset(states), actions, frozenset(transitions))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(X=raw_systems())
+def test_generated_systems_are_written_as_json_dumps_writes_them(X):
+    assert dumps(X) == json.dumps(hdts_to_json(X), sort_keys=True, indent=2) + "\n"
+
+
+def test_empty_systems_are_written_as_json_dumps_writes_them():
+    empty = WeakHDTS(frozenset(), (), frozenset())
+    assert dumps(empty) == '{\n  "actions": [],\n  "states": [],\n  "transitions": []\n}\n'
+    for X in [empty, WeakHDTS(frozenset({0}), (), frozenset()), cube(("a", "b", "a"))]:
+        assert dumps(X) == old_dumps(X)
+
+
+def cubify_document(K, X, states: int = 0) -> dict:
+    attestation = {"state_bijection": True, "states": states, "actions_in": 0,
+                   "actions_out": len(X.actions)}
+    return {"complex": K, "system": X, "attestation": attestation}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(K=raw_precubes(), X=raw_systems())
+def test_generated_cubify_documents_are_written_as_json_dumps_writes_them(K, X):
+    assert dumps(cubify_document(K, X)) == old_dumps(cubify_document(K, X))
+
+
+def test_cubify_documents_of_empty_and_one_state_complexes():
+    point = make_precube({0: (0,)}, {}, {}, {})
+    for K in [EMPTY_PRECUBE, point, standard_cube(("a", "a"))]:
+        doc = cubify_document(K, realize(K).system, len(K.vertices))
+        assert dumps(doc) == old_dumps(doc)
+    for word in ["", "ab", "aab", "abcd"]:
+        got = cubify(cube(tuple(word)))
+        doc = cubify_document(got.complex, got.system, 2 ** len(word))
+        assert dumps(doc) == old_dumps(doc)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_cli_writes_every_fixture_as_the_dict_path_wrote_it(name, tmp_path, capsys):
+    kind, obj = build_fixture(name)
+    path = str(tmp_path / f"{name}.json")
+    Path(path).write_text(old_dumps(obj), encoding="utf-8")
+    expected = {("export", path, "--format", "json"): old_dumps(obj),
+                ("fixtures", "emit", name): old_dumps(obj)}
+    if kind == "precube":
+        expected[("realize", path)] = old_dumps(realize(obj).system)
+    else:
+        got = cubify(obj)
+        attestation = {"state_bijection": True, "states": len(obj.states),
+                       "actions_in": len(obj.actions), "actions_out": len(got.system.actions)}
+        expected[("cubify", path)] = old_dumps(
+            {"complex": got.complex, "system": got.system, "attestation": attestation}
+        )
+        prefix = tmp_path / "out" / name
+        expected[("cubify", path, "--out-prefix", str(prefix))] = old_dumps(attestation)
+    for argv, text in expected.items():
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == text, argv
+    if kind == "hdts":
+        assert Path(f"{prefix}.complex.json").read_text(encoding="utf-8") == old_dumps(got.complex)
+        assert Path(f"{prefix}.system.json").read_text(encoding="utf-8") == old_dumps(got.system)
