@@ -6,6 +6,8 @@ ids sorted ascending.  The permutation orbit required by the multiset
 axiom is implied by that representation, and every axiom below is
 phrased on sub-multiset decompositions of the canonical tuple, which is
 equivalent to the tuple-based formulations once the orbit is implied.
+The axiom checks and the coherence closure read one split table per
+transition, built from the cached decomposition table of its multiset.
 
 States and action ids are plain integers; everything iterates in sorted
 order so results are reproducible run to run.
@@ -13,7 +15,7 @@ order so results are reproducible run to run.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -135,58 +137,66 @@ def proper_submultisets(acts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((s for s in subs if 0 < len(s) < len(acts)), key=lambda t: (len(t), t)))
 
 
+_Decompositions = namedtuple("_Decompositions", "splits by_ab by_a masks")
+
+
+@lru_cache(maxsize=None)
+def _decompositions(acts: tuple[int, ...]) -> _Decompositions:
+    """The decomposition table of the multiset ``acts``: its splits
+    (part, rest) with parts smallest first; its decompositions into
+    non-empty parts as (A, B, C, A+B, B+C), ordered by A+B then A (the
+    coherence scan) and again by A then B (the CSA3 scan); and the part
+    at each position mask 1 .. 2**n - 2 of ``acts``."""
+    splits = tuple((part, multiset_diff(acts, part)) for part in proper_submultisets(acts))
+    rest = dict(splits)
+    by_ab = tuple((a, b, c, ab, rest[a]) for ab, c in splits for a, b in _decompositions(ab).splits)
+    by_a = tuple(sorted(by_ab, key=lambda d: (len(d[0]), d[0], len(d[1]), d[1])))
+    masks = (tuple(x for p, x in enumerate(acts) if m >> p & 1) for m in range(1, (1 << len(acts)) - 1))
+    return _Decompositions(splits, by_ab, by_a, tuple(masks))
+
+
 class _Index:
-    """Lookup tables over a transition set; the intermediate states of
-    each split are computed once for as long as the set does not change."""
+    """The targets of each (state, multiset) pair, and the split table of
+    each transition that the axiom checks, the closure and the cube maps
+    read: per part of its multiset, the sorted states nu with (src, part,
+    nu) and (nu, rest, tgt) present, built in one go from the multiset's
+    decomposition table and kept for as long as the set does not change."""
 
     def __init__(self, transitions: Iterable[Transition]):
-        self.trans: set[Transition] = set()
         self.targets: dict[tuple[int, tuple[int, ...]], set[int]] = defaultdict(set)
-        self._inter: dict[tuple[Transition, tuple[int, ...]], list[int]] = {}
         for t in transitions:
-            self.add(t)
+            self.targets[t.src, t.acts].add(t.tgt)
+        self._tables: dict[tuple, dict[tuple[int, ...], list[int]]] = {}
 
     def add(self, t: Transition) -> None:
-        self.trans.add(t)
-        self.targets[(t.src, t.acts)].add(t.tgt)
-        self._inter.clear()
+        self.targets[t.src, t.acts].add(t.tgt)
+        self._tables.clear()
 
-    def has(self, src, acts, tgt) -> bool:
-        return tgt in self.targets.get((src, acts), ())
-
-    def intermediates(self, t: Transition, part: tuple[int, ...]) -> list[int]:
-        """States nu splitting ``t`` after ``part``: (t.src, part, nu) and
-        (nu, t.acts - part, t.tgt) are both present.  The list is shared
-        with later calls, so callers must not change it."""
-        got = self._inter.get((t, part))
+    def splits(self, src: int, acts: tuple[int, ...], tgt: int) -> dict[tuple[int, ...], list[int]]:
+        """The split table of (src, acts, tgt), shared with later calls:
+        callers must not change it."""
+        got = self._tables.get((src, acts, tgt))
         if got is None:
-            rest = multiset_diff(t.acts, part)
-            got = self._inter[(t, part)] = sorted(
-                nu
-                for nu in self.targets.get((t.src, part), ())
-                if t.tgt in self.targets.get((nu, rest), ())
-            )
+            get = self.targets.get
+            got = self._tables[src, acts, tgt] = {
+                part: sorted(nu for nu in get((src, part), ()) if tgt in get((nu, rest), ()))
+                for part, rest in _decompositions(acts).splits
+            }
         return got
 
 
 def _rule_instances(idx: _Index, t: Transition):
-    """Instances of the coherence rule on ``t`` as (A, B, A+B, n1, n2).
+    """Instances of the coherence rule on ``t`` as (A, B, C, n1, n2).
 
     n1 splits ``t`` after A and n2 after A+B, so the rule asks for the
-    transition (n1, B, n2).  Parts come smallest first.
+    transition (n1, B, n2).  A+B comes smallest first, then A.
     """
-    for e_part in proper_submultisets(t.acts):
-        n2s = idx.intermediates(t, e_part)
-        if not n2s:
-            continue
-        for a_part in proper_submultisets(e_part):
-            n1s = idx.intermediates(t, a_part)
-            if not n1s:
-                continue
-            b_part = multiset_diff(e_part, a_part)
-            for n1 in n1s:
-                for n2 in n2s:
-                    yield a_part, b_part, e_part, n1, n2
+    inter = idx.splits(t.src, t.acts, t.tgt)
+    for a_part, b_part, c_part, e_part, _ in _decompositions(t.acts).by_ab:
+        n1s, n2s = inter[a_part], inter[e_part]
+        for n1 in n1s if n2s else ():
+            for n2 in n2s:
+                yield a_part, b_part, c_part, n1, n2
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +216,8 @@ def coherence_closure(transitions: Iterable[Transition]) -> frozenset[Transition
     its source or target, so rule instances are never enumerated against
     unrelated parts of the system.
     """
-    idx = _Index(transitions)
+    trans = set(transitions)
+    idx = _Index(trans)
     bigs_by_src: dict[int, set[Transition]] = defaultdict(set)
     bigs_by_tgt: dict[int, set[Transition]] = defaultdict(set)
 
@@ -214,7 +225,7 @@ def coherence_closure(transitions: Iterable[Transition]) -> frozenset[Transition
         bigs_by_src[t.src].add(t)
         bigs_by_tgt[t.tgt].add(t)
 
-    pending = deque(sorted(t for t in idx.trans if t.arity >= 3))
+    pending = deque(sorted(t for t in trans if t.arity >= 3))
     for t in pending:
         index_big(t)
     queued = set(pending)
@@ -228,18 +239,20 @@ def coherence_closure(transitions: Iterable[Transition]) -> frozenset[Transition
         big = pending.popleft()
         queued.discard(big)
         for _, b_part, _, n1, n2 in _rule_instances(idx, big):
-            concl = Transition(n1, b_part, n2)
-            if concl in idx.trans:
+            if n2 in idx.targets.get((n1, b_part), ()):
                 continue
+            concl = Transition(n1, b_part, n2)
+            trans.add(concl)
             idx.add(concl)
             if concl.arity >= 3:
                 index_big(concl)
             # every side premise of a rule instance is anchored at the big
             # transition's source or target, so this reschedule (which
-            # covers ``big`` itself, and ``concl`` if it is big) is complete
+            # covers ``big`` itself, and ``concl`` if it is big) is complete,
+            # though the rest of this pass reads ``big``'s old split table
             for affected in bigs_by_src[concl.src] | bigs_by_tgt[concl.tgt]:
                 schedule(affected)
-    return frozenset(idx.trans)
+    return frozenset(trans)
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +298,18 @@ class AxiomReport:
 
 
 def _check_coherence(order, idx):
+    get = idx.targets.get
     for t in order:
         if t.arity < 3:
             continue
-        for a_part, b_part, e_part, n1, n2 in _rule_instances(idx, t):
-            if not idx.has(n1, b_part, n2):
+        for a_part, b_part, c_part, n1, n2 in _rule_instances(idx, t):
+            if n2 not in get((n1, b_part), ()):
                 return {
                     "transition": t.as_tuple(),
                     "missing": Transition(n1, b_part, n2).as_tuple(),
                     "left": list(a_part),
                     "mid": list(b_part),
-                    "right": list(multiset_diff(t.acts, e_part)),
+                    "right": list(c_part),
                 }
     return None
 
@@ -319,14 +333,14 @@ def _splits(order, idx):
     Yields (t, part, forward, reverse): the states that interleave
     ``part`` before the rest of ``t``, and those that interleave it
     after.  The reverse interleaving of a split is the forward one of
-    its complement, so the index computes each split's states once.
+    its complement, so both are read off one split table.
     """
     for t in order:
         if t.arity < 2:
             continue
-        for part in proper_submultisets(t.acts):
-            rest = multiset_diff(t.acts, part)
-            yield t, part, idx.intermediates(t, part), idx.intermediates(t, rest)
+        inter = idx.splits(t.src, t.acts, t.tgt)
+        for part, rest in _decompositions(t.acts).splits:
+            yield t, part, inter[part], inter[rest]
 
 
 def _check_splits(order, idx) -> dict:
@@ -354,34 +368,30 @@ def _check_csa3(order, idx):
     for t in order:
         if t.arity < 3:
             continue
-        for a_part in proper_submultisets(t.acts):
-            n1s = idx.intermediates(t, a_part)
+        inter = idx.splits(t.src, t.acts, t.tgt)
+        for a_part, b_part, c_part, ab_part, bc_part in _decompositions(t.acts).by_a:
+            n1s = inter[a_part]
             if not n1s:
                 continue
-            for b_part in proper_submultisets(multiset_diff(t.acts, a_part)):
-                ab_part = tuple(sorted(a_part + b_part))
-                c_part = multiset_diff(t.acts, ab_part)
-                # pairs (n1', n2'): n2' splits t after A+B, n1' leads to it by B
-                primes = [
-                    (n1p, n2p)
-                    for n2p in idx.intermediates(t, ab_part)
-                    for n1p in sorted(idx.targets.get((t.src, a_part), ()))
-                    if idx.has(n1p, b_part, n2p)
-                ]
-                for n1 in n1s:
-                    for n2 in sorted(idx.targets.get((n1, b_part), ())):
-                        if not idx.has(n2, c_part, t.tgt):
-                            continue
-                        for n1p, n2p in primes:
-                            if (n1, n2) != (n1p, n2p):
-                                return {
-                                    "transition": t.as_tuple(),
-                                    "parts": [list(a_part), list(b_part), list(c_part)],
-                                    "nu1": n1,
-                                    "nu1_prime": n1p,
-                                    "nu2": n2,
-                                    "nu2_prime": n2p,
-                                }
+            # pairs (n1', n2'): n2' splits t after A+B, n1' splits (t.src, A+B, n2') after A
+            primes = [
+                (n1p, n2p)
+                for n2p in inter[ab_part]
+                for n1p in idx.splits(t.src, ab_part, n2p)[a_part]
+            ]
+            for n1 in n1s if primes else ():
+                # n2 splits (n1, B+C, t.tgt) after B
+                for n2 in idx.splits(n1, bc_part, t.tgt)[b_part]:
+                    for n1p, n2p in primes:
+                        if (n1, n2) != (n1p, n2p):
+                            return {
+                                "transition": t.as_tuple(),
+                                "parts": [list(a_part), list(b_part), list(c_part)],
+                                "nu1": n1,
+                                "nu1_prime": n1p,
+                                "nu2": n2,
+                                "nu2_prime": n2p,
+                            }
     return None
 
 

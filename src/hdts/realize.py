@@ -27,6 +27,7 @@ from .core import (
     Transition,
     WeakHDTS,
     _Index,
+    _decompositions,
     check_morphism,
     coherence_closure,
     cube,
@@ -233,8 +234,9 @@ def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple]:
     transition), an ordering of its multiset, and one intermediate state
     per inner vertex; only transitions leaving the bottom corner or
     entering the top corner constrain the choice, which suffices for
-    coherence-closed systems.  Intermediates are looked up per position
-    mask of the multiset; an ordering reads them by ``_inner_masks``."""
+    coherence-closed systems.  Intermediates are read off the split table
+    per position mask of the multiset; an ordering reads them by
+    ``_inner_masks``."""
     if n == 0:
         return [((), (s,), ()) for s in sorted(X.states)]
     idx = _Index(X.transitions)
@@ -243,10 +245,7 @@ def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple]:
     for t in X.transitions:
         if t.arity != n:
             continue
-        between = [None] + [
-            idx.intermediates(t, tuple(a for p, a in enumerate(t.acts) if mask >> p & 1))
-            for mask in range(1, (1 << n) - 1)
-        ]
+        between = [None, *map(idx.splits(t.src, t.acts, t.tgt).__getitem__, _decompositions(t.acts).masks)]
         orderings = {tuple(map(t.acts.__getitem__, perm)): masks for perm, masks in _inner_masks(n)}
         for ordering, masks in orderings.items():
             word = tuple(map(labels.__getitem__, ordering))

@@ -37,7 +37,6 @@ from hdts.alphabet import DEFAULT_ALPHABET
 from hdts.ccs import _KEYWORDS, Nil, Par, Prefix, Rec, Restrict, Sum, Var, _Parser
 from hdts.core import (
     StructureError,
-    _Index,
     check_morphism,
     compose_morphisms,
     cube_state_id,
@@ -1080,7 +1079,7 @@ def morphism_cube_maps_into(n: int, X: WeakHDTS) -> list[tuple[tuple[str, ...], 
     if n == 0:
         point = cube(())
         return [((), HdtsMorphism(point, X, {0: s}, {})) for s in sorted(X.states)]
-    idx = _Index(X.transitions)
+    idx = _ScanIndex(X.transitions)
     labels = X.label_map()
     verts = cube_vertices(n)
     bottom, top = verts[0], verts[-1]
@@ -1101,7 +1100,7 @@ def morphism_cube_maps_into(n: int, X: WeakHDTS) -> list[tuple[tuple[str, ...], 
                     cand[eps] = [t.tgt]
                     continue
                 first = tuple(sorted(ordering[k] for k in range(n) if eps[k] == 1))
-                cand[eps] = idx.intermediates(t, first)
+                cand[eps] = idx.intermediates(t.src, first, multiset_diff(t.acts, first), t.tgt)
                 if not cand[eps]:
                     feasible = False
                     break

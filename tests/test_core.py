@@ -1,6 +1,7 @@
 """Systems, axiom checkers, cubes, closure, colimits, hom search."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -28,6 +29,7 @@ from hdts import (
     cube,
     cube_ext,
     cube_inclusion,
+    cube_state_bits,
     cube_state_id,
     disjoint_union,
     hom_enumerate,
@@ -39,7 +41,9 @@ from hdts import (
     transition,
     validate,
 )
+from hdts import core
 from hdts.core import uisa_holds
+from hdts.realize import cube_maps_into
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +178,7 @@ def small_transition_sets(draw):
     return frozenset(trans)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_transition_sets())
 def test_closure_is_extensive_idempotent_and_matches_oracle(trans):
     closed = coherence_closure(trans)
@@ -191,7 +195,7 @@ def test_closure_matches_oracle_on_failing_systems():
         assert coherence_closure(trans) == brute_closure(trans)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(small_transition_sets(), small_transition_sets())
 def test_closure_is_monotone(a, b):
     assert coherence_closure(a) <= coherence_closure(a | b)
@@ -256,6 +260,98 @@ def test_validate_matches_one_scan_per_axiom():
     # every witness kind, and a uisa failure that still has intermediates
     assert min(witnessed[k] for k in ("coherence", "csa1", "csa2", "csa3")) >= 50
     assert witnessed["uisa"] - witnessed["intermediate"] >= 10
+
+
+def _mutated_cube(seed):
+    # a cube of dimension 4 or 5 with states merged, transitions dropped,
+    # a few added, and one action id mapped onto another, so that
+    # multisets such as (1, 1, 2, 3) occur
+    rng = random.Random(seed)
+    n = 4 + seed % 2
+    base = cube(tuple(rng.choice(("a", "b")) for _ in range(n)))
+    k = rng.randint(2**n - 6, 2**n)
+    merge = {s: s if s < k else rng.randrange(k) for s in base.states}
+    gone, kept = rng.sample(base.action_ids, 2)
+    ids = {a: kept if a == gone else a for a in base.action_ids}
+    drop = rng.choice((0.0, 0.1, 0.1))
+    trans = {
+        transition(merge[t.src], map(ids.get, t.acts), merge[t.tgt])
+        for t in base.transitions
+        if rng.random() >= drop
+    }
+    for _ in range(rng.randint(0, 4)):
+        acts = [rng.choice(sorted(set(ids.values()))) for _ in range(rng.randint(1, 3))]
+        trans.add(transition(rng.randrange(k), acts, rng.randrange(k)))
+    actions = tuple(a for a in base.actions if a.id != gone)
+    return WeakHDTS(frozenset(range(k)), actions, frozenset(trans))
+
+
+def _failing_at_the_top(seed):
+    # a cube of dimension 4 or 5 folded along two directions, which then
+    # share one action id; it is honest, and fails only at its top
+    # transition once glued to a copy of itself at its bottom and top
+    # corners, or once it loses transitions of arity n - 1 out of its bottom
+    rng = random.Random(seed)
+    n = 4 + seed % 2
+    i, j = sorted(rng.sample(range(n), 2))
+    word = [rng.choice("ab") for _ in range(n)]
+    word[j] = word[i]
+    base, top = cube(word), (1 << n) - 1
+
+    def fold(s):
+        bits = list(cube_state_bits(n, s))
+        bits[i], bits[j] = sorted((bits[i], bits[j]))
+        return cube_state_id(bits)
+
+    ids = {a: i + 1 if a == j + 1 else a for a in base.action_ids}
+    trans = {transition(fold(t.src), map(ids.get, t.acts), fold(t.tgt)) for t in base.transitions}
+    if seed % 4 < 2:
+        copy = {s: s if s in (0, top) else s + top + 1 for s in range(top + 1)}
+        trans |= {transition(copy[t.src], t.acts, copy[t.tgt]) for t in trans}
+    else:
+        trans = {t for t in trans if t.src or t.arity != n - 1 or rng.random() < 0.5}
+    states = {s for t in trans for s in (t.src, t.tgt)}
+    return WeakHDTS(states, tuple(a for a in base.actions if a.id != j + 1), trans)
+
+
+def test_validate_matches_one_scan_per_axiom_at_higher_arity():
+    mutated = [_mutated_cube(seed) for seed in range(40)]
+    at_top = [_failing_at_the_top(seed) for seed in range(16)]
+    six = cube("abcdef")
+    into_top = min(t for t in six.transitions if t.tgt == max(six.states) and t.arity == 1)
+    cut = WeakHDTS(six.states, six.actions, six.transitions - {into_top})
+    systems = mutated + at_top + [six, cut]
+    assert any(len(set(t.acts)) < t.arity == 4 for X in at_top for t in X.transitions)
+    witnessed, high = Counter(), Counter()
+    for X in systems:
+        report = validate(X).as_dict()
+        assert report == scan_validate(X)
+        witnessed.update(report["witnesses"].keys())
+        high.update(
+            k for k, w in report["witnesses"].items() if len(w.get("transition", (0, ()))[1]) >= 4
+        )
+    assert set(witnessed) == {"coherence", "csa1", "csa2", "csa3", "uisa", "intermediate"}
+    assert witnessed["uisa"] > witnessed["intermediate"]
+    assert set(high) == set(witnessed) - {"csa1"}  # the least witness at arity 4 or 5
+    for X in mutated[::2] + at_top[::2]:  # the cubes of dimension 4
+        assert coherence_closure(X.transitions) == brute_closure(X.transitions)
+
+
+def test_axiom_checks_never_call_multiset_diff(monkeypatch):
+    # once the decomposition tables are built, the scans read them and
+    # never take a multiset difference
+    X = cube("abcde")
+    want = validate(X), cube_maps_into(5, X)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("multiset_diff was called")
+
+    monkeypatch.setattr(core, "multiset_diff", refuse)
+    with pytest.raises(AssertionError, match="was called"):
+        core._decompositions.__wrapped__((1, 2))  # the patch is seen by the table builder
+    assert validate(X) == want[0]
+    assert coherence_closure(X.transitions) == X.transitions
+    assert cube_maps_into(5, X) == want[1]
 
 
 def test_csa_equivalence_on_corpus():
