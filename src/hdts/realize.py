@@ -61,9 +61,11 @@ class ActionClassPartition:
 def edge_action_classes(K: PrecubicalSet) -> ActionClassPartition:
     """Partition the edges by the relation "opposite sides of a square"."""
     uf = UnionFind(K.ncells(1))
+    squares = K.faces.get(2, {})
     for z in K.ncells(2):
-        for i in (1, 2):
-            uf.union(K.face(2, z, i, 0), K.face(2, z, i, 1))
+        d10, d11, d20, d21 = squares[z]
+        uf.union(d10, d11)
+        uf.union(d20, d21)
     classes = tuple(tuple(g) for g in uf.groups())
     labels = []
     for members in classes:
@@ -72,23 +74,6 @@ def edge_action_classes(K: PrecubicalSet) -> ActionClassPartition:
             raise StructureError("edges of one action class carry different labels")
         labels.append(words.pop()[0])
     return ActionClassPartition(classes, tuple(labels))
-
-
-def _corner(K: PrecubicalSet, n: int, c: int, alpha: int) -> int:
-    for d in range(n, 0, -1):
-        c = K.face(d, c, 1, alpha)
-    return c
-
-
-def _direction_edge(K: PrecubicalSet, n: int, c: int, i: int) -> int:
-    """The base edge of ``c`` along direction ``i`` (faces taken at 0)."""
-    d = n
-    for j in range(n, 0, -1):
-        if j == i:
-            continue
-        c = K.face(d, c, j, 0)
-        d -= 1
-    return c
 
 
 @dataclass(frozen=True)
@@ -107,25 +92,28 @@ class Realization:
 def realize(K: PrecubicalSet) -> Realization:
     """The transition system of a labelled symmetric precubical set.
 
-    States are the vertices, actions the edge classes, and for every
-    cell of dimension n >= 1 there is one generating n-transition from
-    its bottom corner to its top corner carrying its direction classes.
-    The full transition set is the coherence closure of the generators;
-    lower transitions of each cube come from its faces, which are cells
-    themselves.
+    States are the vertices and actions the edge classes.  Each cell of
+    dimension n >= 1 generates one n-transition from its bottom corner
+    to its top corner along its direction classes, read off its face row
+    one dimension at a time: an edge runs from d_1^0 to d_1^1 along its
+    class, and an n-cell from its d_1^0 face's bottom to its d_1^1
+    face's top along its d_n^0 face's directions and the last of its
+    d_{n-1}^0 face's.  The transitions are the coherence closure of the
+    generators; lower transitions of each cube come from its faces.
     """
     partition = edge_action_classes(K)
     edge_class = partition.class_of()
     actions = tuple(Action(k, lab) for k, lab in enumerate(partition.labels))
     generators = set()
-    for n in K.dims():
-        if n == 0:
-            continue
+    below = {v: (v, (), v) for v in K.vertices}  # cell -> (bottom, directions, top)
+    for n in K.dims()[1:]:
+        rows, here = K.faces[n], {}
         for c in K.ncells(n):
-            acts = (edge_class[_direction_edge(K, n, c, i)] for i in range(1, n + 1))
-            generators.add(
-                transition(_corner(K, n, c, 0), acts, _corner(K, n, c, 1))
-            )
+            row = rows[c]
+            acts = below[row[-2]][1] + below[row[-4]][1][-1:] if n > 1 else (edge_class[c],)
+            here[c] = (below[row[0]][0], acts, below[row[1]][2])
+        generators.update(transition(*corners) for corners in here.values())
+        below = here
     closed = coherence_closure(generators)
     system = WeakHDTS(frozenset(K.vertices), actions, closed)
     return Realization(

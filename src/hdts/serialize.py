@@ -93,6 +93,7 @@ def alphabet_to_json(cfg: Alphabet) -> dict:
 
 def alphabet_from_json(doc) -> Alphabet:
     _need(isinstance(doc, dict), "$", "alphabet must be an object")
+    _known(doc, ("labels", "tau", "involution"), "")
     _need(isinstance(doc.get("labels"), list), "labels", "must be a list")
     for k, x in enumerate(doc["labels"]):
         _need(isinstance(x, str), f"labels[{k}]", "must be a string")
@@ -320,15 +321,17 @@ def precube_from_json(doc) -> PrecubicalSet:
                 labels[(n, c)] = tuple(word)
         _need(len(set(ids)) == len(ids), f"dims.{key}", "duplicate cell ids")
         cells[n] = ids
+    vertices = set(cells.get(0, ()))
     decoration = {}
     _need(isinstance(doc.get("decoration", {}), dict), "decoration", "must be an object")
     for vk, d in doc.get("decoration", {}).items():
-        _need(_int_key(vk, signed=True), f"decoration.{vk}", "keys must be vertex ids")
+        _need(_int_key(vk, signed=True) and int(vk) in vertices, f"decoration.{vk}",
+              "keys must be vertex ids")
         _need(isinstance(d, str), f"decoration.{vk}", "must be a string")
         decoration[int(vk)] = d
     initial = doc.get("initial")
     if initial is not None:
-        _need(_int(initial), "initial", "must be a vertex id")
+        _need(_int(initial) and initial in vertices, "initial", "must be a vertex id")
     try:
         return make_precube(cells, faces, syms, labels, decoration, initial)
     except PrecubeError as exc:
@@ -348,7 +351,7 @@ def detect_kind(doc) -> str:
 
 
 def _quote(s) -> str:
-    return '"%s"' % str(s).replace('"', '\\"')
+    return '"%s"' % str(s).replace("\\", "\\\\").replace('"', '\\"')
 
 
 def hdts_to_dot(X: WeakHDTS, tau: str = DEFAULT_TAU) -> str:

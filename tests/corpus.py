@@ -10,8 +10,9 @@ oracles merge union-find classes cell by cell and rebuild and recheck
 each compiled set whole, the scope oracle parses a term by the grammar
 alone and then walks it for free and unguarded variables, the
 sort-ordered morphism searches assign every variable of one sort before
-the next and prune only by what is assigned, and the
-random closed systems are closed by the library only as a final step
+the next and prune only by what is assigned, the realization oracle
+walks every cell down to its corners and direction edges face by face,
+and the random closed systems are closed by the library only as a final step
 (they are not valid inputs otherwise).
 """
 
@@ -60,7 +61,7 @@ from hdts.precube import (
     check_precube_map,
     make_precube,
 )
-from hdts.realize import Cubification, realize, realize_cube_map
+from hdts.realize import Cubification, Realization, edge_action_classes, realize, realize_cube_map
 from hdts.search import backtrack
 from hdts.unionfind import UnionFind
 
@@ -1061,6 +1062,50 @@ def scope_defects(term):
     and ``("unguarded", name)`` pairs, empty for a term it accepted."""
     unguarded = {("unguarded", r.var) for r in _recs(term) if _unguarded(r.body, r.var)}
     return {("unbound", name) for name in _free_vars(term)} | unguarded
+
+
+# ---------------------------------------------------------------------------
+# realization by walking every cell down its faces (oracle for the
+# per-dimension pass of hdts.realize.realize)
+
+
+def _corner(K: PrecubicalSet, n: int, c: int, alpha: int) -> int:
+    for d in range(n, 0, -1):
+        c = K.face(d, c, 1, alpha)
+    return c
+
+
+def _direction_edge(K: PrecubicalSet, n: int, c: int, i: int) -> int:
+    """The base edge of ``c`` along direction ``i`` (faces taken at 0)."""
+    d = n
+    for j in range(n, 0, -1):
+        if j == i:
+            continue
+        c = K.face(d, c, j, 0)
+        d -= 1
+    return c
+
+
+def walk_realize(K: PrecubicalSet) -> Realization:
+    """The realization of ``K``, each cell's bottom and top corner and
+    direction edges found by walking it down to its vertices and edges."""
+    partition = edge_action_classes(K)
+    edge_class = partition.class_of()
+    actions = tuple(Action(k, lab) for k, lab in enumerate(partition.labels))
+    generators = set()
+    for n in K.dims():
+        if n == 0:
+            continue
+        for c in K.ncells(n):
+            acts = (edge_class[_direction_edge(K, n, c, i)] for i in range(1, n + 1))
+            generators.add(
+                transition(_corner(K, n, c, 0), acts, _corner(K, n, c, 1))
+            )
+    closed = coherence_closure(generators)
+    system = WeakHDTS(frozenset(K.vertices), actions, closed)
+    return Realization(
+        system, {v: v for v in K.vertices}, edge_class, partition, frozenset(generators)
+    )
 
 
 # ---------------------------------------------------------------------------

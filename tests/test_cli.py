@@ -251,6 +251,17 @@ def test_alphabet_labels_must_be_strings(tmp_path, capsys, labels, path):
         assert err == f"error: {path}: must be a string\n"
 
 
+def test_alphabet_keys_the_schema_does_not_use_are_input_errors(tmp_path, capsys):
+    # a misspelt "involution" used to load as an alphabet with no pairs
+    alphabet = tmp_path / "alphabet.json"
+    doc = {"labels": ["a", "b", "tau"], "tau": "tau", "involutions": [["a", "b"]]}
+    alphabet.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["ccs", "compile", "a.nil || b.nil", "--alphabet", str(alphabet)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: involutions: unexpected key\n"
+
+
 def test_check_rejects_wrong_kind(fixture_file, capsys):
     code = main(["check", fixture_file("cube_ab"), "--kind", "precube"])
     assert code == 2

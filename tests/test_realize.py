@@ -5,14 +5,20 @@ import itertools
 import pytest
 
 from corpus import (
+    ALPHA,
+    CCS_CORPUS,
+    RANDOM_SYNC_TERMS,
     morphism_cube_maps_into,
     morphism_cubify,
     morphism_is_iso,
+    pattern_words,
     random_cube_gluing,
     random_failing_hdts,
     random_mixed_corpus,
+    random_precube_wedge,
     random_weak_hdts,
     used_actions,
+    walk_realize,
 )
 from hdts import (
     HdtsMorphism,
@@ -21,6 +27,7 @@ from hdts import (
     boundary,
     colimit,
     colimit_presheaf,
+    compile_text,
     cube,
     cube_maps_into,
     cubify,
@@ -44,8 +51,8 @@ from hdts import (
 )
 from hdts.core import Action, WeakHDTS, check_morphism, transition
 from hdts.encoding import face_encoding, sym_encoding
-from hdts.fixtures import double_square, glued_span, not_strong_complex
-from hdts.precube import make_precube
+from hdts.fixtures import build_fixture, double_square, fixture_names, glued_span, not_strong_complex
+from hdts.precube import PrecubicalSet, make_precube
 from hdts.serialize import dumps, hdts_to_json, precube_to_json
 
 
@@ -106,6 +113,37 @@ def test_realize_not_strong_complex():
     src, acts, tgt = w["transition"]
     assert {labels[a] for a in acts} == {"u", "v"}
     assert w["intermediates"] == [2, 3]
+
+
+def _oracle_precubes():
+    yield from (standard_cube(w) for n in range(5) for w in pattern_words(n))
+    yield from (standard_cube(w) for w in ("abcde", "abcdef"))
+    yield from (compile_text(t, ALPHA, 4) for t in CCS_CORPUS + RANDOM_SYNC_TERMS)
+    yield from (random_precube_wedge(seed) for seed in range(50))
+    yield from (cubify(random_cube_gluing(seed)).complex for seed in range(50))
+    yield from (K for kind, K in map(build_fixture, fixture_names()) if kind == "precube")
+
+
+def test_realize_matches_the_walking_oracle():
+    count = 0
+    for K in _oracle_precubes():
+        assert realize(K) == walk_realize(K)
+        count += 1
+    assert count == 25 + len(CCS_CORPUS) + len(RANDOM_SYNC_TERMS) + 50 + 50 + 3
+
+
+def test_realize_never_calls_face(monkeypatch):
+    # corners and directions come from the face rows, one dimension at a time
+    inputs = [standard_cube("abcd"), compile_text("a.nil || b.nil || c.nil", ALPHA), double_square()]
+    want = [walk_realize(K) for K in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PrecubicalSet.face was called")
+
+    monkeypatch.setattr(PrecubicalSet, "face", refuse)
+    with pytest.raises(AssertionError, match="was called"):
+        walk_realize(inputs[0])  # the patch is seen by the walk
+    assert [realize(K) for K in inputs] == want
 
 
 def test_realize_empty_and_vertex_only_complexes():

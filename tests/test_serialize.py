@@ -113,6 +113,22 @@ def test_precube_reader_rejects_non_object_decoration():
         precube_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("initial", 7, "initial: must be a vertex id"),
+        ("decoration", {"7": "x"}, "decoration.7: keys must be vertex ids"),
+    ],
+    ids=["initial", "decoration"],
+)
+def test_precube_reader_names_the_key_of_a_missing_vertex(key, value, message):
+    doc = precube_to_json(standard_cube(("a",)))
+    doc[key] = value
+    with pytest.raises(SchemaError) as exc:
+        precube_from_json(doc)
+    assert str(exc.value) == message
+
+
 def _add_dimension_key(doc):
     doc["dims"]["00"] = [{"id": 7}]
 
@@ -178,6 +194,23 @@ def test_dot_dashes_silent_edges():
     text = precube_to_dot(K, ALPHA.tau)
     assert text.count("style=dashed") == 1
     assert text.count("->") == 5
+
+
+def test_dot_escapes_backslashes_and_quotes():
+    # a bare backslash before the closing quote would escape it
+    X = WeakHDTS(frozenset({0, 1}), (Action(1, "a\\"), Action(2, 'b"')),
+                 frozenset({transition(0, (1,), 1), transition(0, (2,), 1)}))
+    assert hdts_to_dot(X).splitlines()[3:5] == [
+        r'  s0 -> s1 [label="a\\"];',
+        r'  s0 -> s1 [label="b\""];',
+    ]
+    K = make_precube({0: (0, 1), 1: (0,)}, {(1, 0, 1, 0): 0, (1, 0, 1, 1): 1}, {},
+                     {(1, 0): ("a\\",)}, {0: 'x\\"'}, 0)
+    assert precube_to_dot(K).splitlines()[1:4] == [
+        r'  v0 [shape=doublecircle, label="x\\\""];',
+        '  v1 [shape=circle, label="1"];',
+        r'  v0 -> v1 [label="a\\"];',
+    ]
 
 
 def test_dot_empty_graph():
