@@ -9,31 +9,31 @@ partner of ``a``.  Recursion variables must be bound and guarded by a
 prefix inside their binder; the parser checks both as it reads each
 variable.
 
-The semantics builds, by induction on the term, a decorated precubical
-set with a distinguished initial vertex: a prefix grafts one edge in
-front, a sum is a wedge at the initial vertices, restriction keeps the
-cells whose label word avoids the restricted pair, and parallel
-composition is the synchronized tensor product.  ``rec(x) P`` is read
-off the term: if ``x`` is not free in ``P`` the body is its own
-fixpoint, and otherwise the term is unfolded to a depth bound and the
-result flagged truncated.  No stage of a guarded unfolding can equal
-the one before, since each holds the previous stage under a prefix and
-no operator loses vertices: a prefix adds one, a sum of l and r has
-l + r - 1, restriction keeps every vertex and a product multiplies.
-Prefix, sum and restriction each renumber cells with one
-``precube.glue`` call, and the initial vertex of every result but a
-parallel composition is decorated with its term.
-Each stage is built from the previous one: ``semantics`` reuses the
-set it holds for a subterm that *is* the previous stage's term, by
-identity, not by hashing or equality, which recurse once per nesting
-level of a deep stage.
+The semantics builds a decorated precubical set with a distinguished
+initial vertex: a prefix puts one edge in front of its body, a sum joins
+its summands at their initial vertices, restriction keeps the cells
+whose label word avoids the restricted pair, and parallel composition is
+the synchronized tensor product.  One walk numbers the cells of a region
+of nil, prefix, sum and restriction nodes and one ``precube.glue`` call
+builds it; the initial vertex of every result but a parallel composition
+is decorated with its term.  ``rec(x) P`` is read off the term: if ``x``
+is not free in ``P`` the body is its own fixpoint, and otherwise the
+term is unfolded to a depth bound and the result flagged truncated.  No
+stage of a guarded unfolding can equal the one before, since each holds
+the previous stage under a prefix and no operator loses vertices: a
+prefix adds one, a sum of l and r has l + r - 1, restriction keeps every
+vertex and a product multiplies.  Each stage is built from the previous
+one: ``semantics`` reuses the set it holds for a subterm that *is* the
+previous stage's term, by identity, not by hashing or equality, which
+recurse once per nesting level of a deep stage.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import count
+from itertools import count, repeat
 
 from .alphabet import Alphabet
 from .precube import PrecubeError, PrecubicalSet, glue, standard_cube
@@ -95,6 +95,7 @@ class Var(ProcessTerm):
 
 
 _PAR, _SUM, _PREFIX = 0, 1, 2
+_WALKED = (Nil, Prefix, Sum, Restrict)  # the nodes of a region, see _Region
 
 
 def term_str(t: ProcessTerm, level: int = _PAR) -> str:
@@ -179,11 +180,9 @@ def _tokenize(text: str):
                 break
             raise CcsSyntaxError(f"unexpected character {stripped[0]!r}", pos)
         pos = m.end()
-        for kind in ("ident", "par", "inv", "punct"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind if kind != "punct" else val, val, m.start(kind)))
-                break
+        kind = m.lastgroup
+        val = m.group(kind)
+        tokens.append((val if kind == "punct" else kind, val, m.start(kind)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -198,7 +197,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.cfg = cfg
         self.k = 0
-        self.binders: dict[str, int] = {}
+        self.binders: dict[str, int | None] = {}
         self.prefixes = 0
 
     def peek(self):
@@ -261,14 +260,10 @@ class _Parser:
             outer = self.binders.get(var[1])
             self.binders[var[1]] = self.prefixes
             body = self.parse_prefix()
-            if outer is None:
-                del self.binders[var[1]]
-            else:
-                self.binders[var[1]] = outer
+            self.binders[var[1]] = outer  # None: unbound again
             return Rec(var[1], body)
         if kind == "(" and self.tokens[self.k + 1][:2] == ("ident", "nu"):
-            self.next()
-            self.next()
+            self.k += 2
             label = self.label()
             if label == self.cfg.tau:
                 raise CcsSyntaxError("the silent label cannot be restricted", pos)
@@ -313,42 +308,65 @@ def parse(text: str, cfg: Alphabet) -> ProcessTerm:
 # semantics
 
 
-_NIL = replace(standard_cube(()), initial=0)
-
-
-def _graft_prefix(label: str, sub: PrecubicalSet) -> PrecubicalSet:
-    """One fresh edge in front of ``sub``'s initial vertex.
-
-    The new vertex and the new edge take id 0 in their dimensions; the
-    old vertices and edges shift up by one, higher cells keep their ids.
+class _Region:
+    """Final ids for the cells of a region of nil, prefix, sum and
+    restriction nodes, handed out per dimension in the order one walk
+    meets them, and the parts to glue them from.  Only a nil and a prefix
+    make a vertex, a prefix's vertex and edge before its body's cells.  A
+    sum walks its left summand, then its right one from the same initial
+    vertex.  A restriction bans its label and that label's partner below
+    it: a cell whose word meets the banned set gets no id, and ``glue``
+    drops it.  Any other subterm, or the current stage of an enclosing
+    recursion, is a whole set from ``semantics``, placed at the next ids
+    in its own order with its initial vertex where the walk puts it.  A
+    walked node's text goes on its initial vertex, over inner nodes'.
     """
-    edge = {(0, 0): 0, (0, 1): sub.initial + 1, (1, 0): 0}
-    ids = {(n, c): c + 1 if n <= 1 else c for n in sub.dims() for c in sub.ncells(n)}
-    return glue([(standard_cube((label,)), edge), (sub, ids)], initial=0)
 
+    def __init__(self, cfg: Alphabet, unfold_depth: int, stages: tuple, texts: dict):
+        self.cfg, self.unfold_depth, self.stages, self.texts = cfg, unfold_depth, stages, texts
+        self.used, self.parts, self.decoration = Counter(), [], {}  # used: ids per dimension
 
-def _wedge(left: PrecubicalSet, right: PrecubicalSet) -> PrecubicalSet:
-    """``left`` and ``right`` joined at their initial vertices.
+    def walk(self, t: ProcessTerm, init: int | None, banned: frozenset) -> int:
+        """Number the cells of ``t`` and return its initial vertex, ``init`` if given."""
+        if not isinstance(t, _WALKED) or any(t is known for known, _ in self.stages):
+            K = semantics(t, self.cfg, self.unfold_depth, stages=self.stages, texts=self.texts)
+            return self.place(K, init, banned)
+        if isinstance(t, (Nil, Prefix)) and init is None:
+            init = self.used[0]
+            self.used[0] += 1
+        if isinstance(t, Nil):
+            self.parts.append((standard_cube(()), {(0, 0): init}))
+        elif isinstance(t, Prefix):
+            self.cfg.check_label(t.label)
+            ids = {(0, 0): init}
+            if t.label not in banned:
+                ids[(1, 0)] = self.used[1]
+                self.used[1] += 1
+            ids[(0, 1)] = self.walk(t.body, None, banned)
+            self.parts.append((standard_cube((t.label,)), ids))
+        elif isinstance(t, Sum):
+            init = self.walk(t.left, init, banned)
+            self.walk(t.right, init, banned)
+        else:
+            self.cfg.check_label(t.label)
+            pair = {t.label, self.cfg.bar(t.label)} - {None}
+            init = self.walk(t.body, init, banned | pair)
+        self.decoration[init] = _term_text(t, _PAR, self.texts)
+        return init
 
-    ``left``'s n-cells take their rank; ``right``'s other n-cells follow
-    them, in order.
-    """
-    ids = {(n, c): k for n in left.dims() for k, c in enumerate(left.ncells(n))}
-    joint = ids[(0, left.initial)]
-    right_ids = {(0, right.initial): joint}
-    for n in right.dims():
-        rest = [c for c in right.ncells(n) if n or c != right.initial]
-        right_ids.update(zip([(n, c) for c in rest], count(len(left.ncells(n)))))
-    return glue([(left, ids), (right, right_ids)], initial=joint)
-
-
-def _filter_labels(sub: PrecubicalSet, banned: set[str]) -> PrecubicalSet:
-    """The cells of ``sub`` whose label word avoids ``banned``, by rank."""
-    ids = {}
-    for n in sub.dims():
-        keep = [c for c in sub.ncells(n) if banned.isdisjoint(sub.label(n, c))]
-        ids.update(zip([(n, c) for c in keep], count()))
-    return glue([(sub, ids)], initial=ids[(0, sub.initial)])
+    def place(self, K: PrecubicalSet, init: int | None, banned: frozenset) -> int:
+        ids = {}
+        for n in K.dims():
+            cells = K.ncells(n)
+            if n and banned:
+                cells = [c for c in cells if banned.isdisjoint(K.labels[n][c])]
+            elif not n and init is not None:
+                ids[(0, K.initial)] = init
+                cells = [c for c in cells if c != K.initial]
+            ids.update(zip(zip(repeat(n), cells), count(self.used[n])))
+            self.used[n] += len(cells)
+        self.parts.append((K, ids))
+        return ids[(0, K.initial)]
 
 
 def semantics(
@@ -364,12 +382,12 @@ def semantics(
     ``rec(x) P`` is the semantics of ``P`` when ``x`` is not free in
     ``P``; otherwise it is the ``unfold_depth``-th stage of its unfolding
     (``nil``, then ``P`` with ``x`` replaced by the previous stage) with
-    its ``truncated`` flag set.  Each stage is built from the
-    previous one: ``stages`` holds the (term, set) pair of the current
-    stage of every enclosing recursion, and a subterm that *is* one of
-    those terms (identity, not hashing) is not compiled again.  Only
-    this module passes ``stages``; the result does not depend on it,
-    since the semantics of a closed term is a function of the term.
+    its ``truncated`` flag set.  Each stage is built from the previous
+    one: ``stages`` holds the (term, set) pair of the current stage of
+    every enclosing recursion, and a subterm that *is* one of those
+    terms (identity, not hashing) is not compiled again.  Only this
+    module passes ``stages``; the result does not depend on it, since
+    the semantics of a closed term is a function of the term.
     ``texts`` keeps the ``term_str`` of every subterm of one compile, by
     identity, so each decoration is built once from its children's.
     """
@@ -384,48 +402,29 @@ def semantics(
         left = semantics(term.left, cfg, unfold_depth, stages=stages, texts=texts)
         right = semantics(term.right, cfg, unfold_depth, stages=stages, texts=texts)
         return tensor_sync(left, right, cfg)
-    if isinstance(term, Nil):
-        out = _NIL
-    elif isinstance(term, Prefix):
-        cfg.check_label(term.label)
-        sub = semantics(term.body, cfg, unfold_depth, stages=stages, texts=texts)
-        out = _graft_prefix(term.label, sub)
-    elif isinstance(term, Sum):
-        left = semantics(term.left, cfg, unfold_depth, stages=stages, texts=texts)
-        right = semantics(term.right, cfg, unfold_depth, stages=stages, texts=texts)
-        out = _wedge(left, right)
-    elif isinstance(term, Restrict):
-        cfg.check_label(term.label)
-        banned = {term.label}
-        partner = cfg.bar(term.label)
-        if partner is not None:
-            banned.add(partner)
-        sub = semantics(term.body, cfg, unfold_depth, stages=stages, texts=texts)
-        out = _filter_labels(sub, banned)
-    elif isinstance(term, Rec):
-        stage_term: ProcessTerm = Nil()
-        stage = semantics(stage_term, cfg, unfold_depth, stages=stages, texts=texts)
-        for _ in range(unfold_depth):
-            next_term = subst(term.body, term.var, stage_term)
-            stage = semantics(
-                next_term,
-                cfg,
-                unfold_depth,
-                stages=stages + ((stage_term, stage),),
-                texts=texts,
-            )
-            if next_term is term.body:  # no free var: the body is its own fixpoint
-                out = stage
-                break
-            stage_term = next_term
-        else:
-            out = replace(stage, truncated=True)
-    elif isinstance(term, Var):
+    if isinstance(term, _WALKED):
+        region = _Region(cfg, unfold_depth, stages, texts)
+        initial = region.walk(term, None, frozenset())
+        out = glue(region.parts, initial)
+        out.decoration.update(region.decoration)  # glue made this dict
+        return out
+    if isinstance(term, Var):
         raise PrecubeError("cannot interpret an open term")
-    else:
+    if not isinstance(term, Rec):
         raise TypeError(f"not a process term: {term!r}")
-    decoration = {**out.decoration, out.initial: _term_text(term, _PAR, texts)}
-    return replace(out, decoration=decoration)
+    stage_term: ProcessTerm = Nil()
+    stage = semantics(stage_term, cfg, unfold_depth, stages=stages, texts=texts)
+    for _ in range(unfold_depth):
+        next_term = subst(term.body, term.var, stage_term)
+        known = stages + ((stage_term, stage),)
+        stage = semantics(next_term, cfg, unfold_depth, stages=known, texts=texts)
+        if next_term is term.body:  # no free var: the body is its own fixpoint
+            break
+        stage_term = next_term
+    else:
+        stage = replace(stage, truncated=True)
+    decoration = {**stage.decoration, stage.initial: _term_text(term, _PAR, texts)}
+    return replace(stage, decoration=decoration)
 
 
 def compile_text(text: str, cfg: Alphabet, unfold_depth: int = 8) -> PrecubicalSet:

@@ -3,7 +3,8 @@
 Commands: check, realize, cubify, export, ccs compile, fixtures.
 Exit codes: 0 success / all axioms pass, 1 axiom failure, 2 input
 error (a term that nests too deeply or whose parallel product is too
-large to compile included), 3 internal error.  All output is
+large to compile, an input file that is not UTF-8 text and an output
+that cannot be written included), 3 internal error.  All output is
 deterministic: identical inputs give byte-identical bytes.
 """
 
@@ -33,6 +34,8 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path} is not valid JSON: {exc}")
     except RecursionError:
@@ -69,8 +72,11 @@ def _check_labels(obj, kind, cfg: Alphabet | None):
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write {out}: {exc}")
 
 
 def cmd_check(args) -> int:
@@ -118,9 +124,12 @@ def cmd_cubify(args) -> int:
     parts = {"complex": result.complex, "system": result.system}
     if args.out_prefix:
         prefix = Path(args.out_prefix)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            prefix.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _InputError(f"cannot write {prefix.parent}: {exc}")
         for part, value in parts.items():
-            Path(f"{prefix}.{part}.json").write_text(serialize.dumps(value), encoding="utf-8")
+            _emit(serialize.dumps(value), f"{prefix}.{part}.json")
     shown = attestation if args.out_prefix else {**parts, "attestation": attestation}
     sys.stdout.write(serialize.dumps(shown))
     return 0

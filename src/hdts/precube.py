@@ -15,8 +15,9 @@ construction writes rows directly and does not recheck: cubes are
 tables of the cube category, and every construction that copies cells
 from other sets goes through ``glue``, which renumbers rows by explicit
 id maps and checks each merge (colimits and quotients number the
-classes of a union-find, and the process-term compiler renumbers
-directly).  Renaming preserves the relations.
+classes of a union-find, and the process-term compiler numbers the
+cells of a region of nil, prefix, sum and restriction nodes in one
+walk and glues the region once).  Renaming preserves the relations.
 """
 
 from __future__ import annotations

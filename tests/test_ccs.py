@@ -9,6 +9,8 @@ from corpus import (
     ALPHA,
     CCS_CORPUS,
     RANDOM_SYNC_TERMS,
+    checked_graft_prefix,
+    colimit_wedge,
     random_precube_wedge,
     random_rec_term,
     scratch_semantics,
@@ -29,6 +31,7 @@ from hdts import (
 from hdts import ccs
 from hdts.alphabet import make_alphabet
 from hdts.ccs import CcsSyntaxError, Nil, Par, Prefix, Rec, Restrict, Sum, Var, subst
+from hdts.precube import glue
 from hdts.serialize import dumps, precube_to_json
 
 
@@ -293,15 +296,80 @@ def test_stage_reuse_matches_scratch_compile_on_random_terms(seed):
     assert K.truncated == scratch.truncated
 
 
+_CHAIN_LABELS = ("a", "b", "abar", "c", "tau", "bbar")
+
+#: wide and deep regions of nil, prefix, sum and restriction nodes, and
+#: regions around products and recursions, for the scratch oracle
+REGION_CASES = {
+    "120-prefix-chain": ".".join(_CHAIN_LABELS[i % 6] for i in range(120)) + ".nil",
+    "60-arm-sum": " + ".join(
+        ".".join(_CHAIN_LABELS[(i + j) % 6] for j in range(i % 3 + 1)) + ".nil"
+        for i in range(60)
+    ),
+    "restricted-prefix-with-body": "(nu a) b.a.c.nil",
+    "nested-restrictions-around-a-sum": (
+        "(nu b)(a.b.nil + (a.nil || abar.nil) + rec(x) b.x + (nu a)(a.nil + c.nil))"
+    ),
+    "product-on-the-left": (
+        "(a.nil || abar.b.nil) + rec(x) (b.x + c.nil) + (nu a)(a.b.nil || abar.nil) + c.nil"
+    ),
+    "recursion-on-the-left": "rec(x) (b.x + c.nil) + (a.nil || abar.nil) + c.nil",
+}
+
+
+@pytest.mark.parametrize("text", list(REGION_CASES.values()), ids=list(REGION_CASES))
+def test_regions_match_scratch_compile(text):
+    term = parse(text, ALPHA)
+    K, scratch = semantics(term, ALPHA, 4), scratch_semantics(term, ALPHA, 4)
+    assert _json(K) == _json(scratch)
+    assert K.truncated == scratch.truncated
+
+
+def test_a_restricted_prefix_loses_its_edge_and_keeps_its_vertices():
+    K = compile_text("(nu a) b.a.c.nil", ALPHA)
+    assert cell_counts(K) == [4, 2]
+    assert [K.label(1, e) for e in K.ncells(1)] == [("b",), ("c",)]
+    assert K.faces[1] == {0: (0, 1), 1: (2, 3)}
+
+
+def test_placed_sets_keep_an_initial_vertex_that_is_not_the_first():
+    # a stage with its vertices numbered backwards, placed under a prefix
+    # and on either side of a sum
+    text = "b.c.nil + c.nil"
+    built = compile_text(text, ALPHA)
+    last = len(built.vertices) - 1
+    ids = {(n, c): last - c if n == 0 else c for n in built.dims() for c in built.ncells(n)}
+    stage = glue([(built, ids)], initial=last - built.initial)
+    assert stage.initial != 0
+    S = parse(text, ALPHA)
+    a_nil = semantics(parse("a.nil", ALPHA), ALPHA)
+    for term, expected in [
+        (Prefix("a", S), lambda t: checked_graft_prefix("a", stage, t)),
+        (Sum(Prefix("a", Nil()), S), lambda t: colimit_wedge(a_nil, stage, t)),
+        (Sum(S, Prefix("a", Nil())), lambda t: colimit_wedge(stage, a_nil, t)),
+    ]:
+        K = semantics(term, ALPHA, stages=((S, stage),))
+        assert _json(K) == _json(expected(term_str(term))), term_str(term)
+
+
+def test_a_region_is_glued_once(monkeypatch):
+    glues = []
+    original = ccs.glue
+    monkeypatch.setattr(ccs, "glue", lambda *a, **k: glues.append(1) or original(*a, **k))
+    K = compile_text("a.b.(a.nil + b.c.nil + (nu a)(a.nil + b.nil))", ALPHA)
+    assert len(glues) == 1
+    assert cell_counts(K) == [8, 6]
+
+
 def test_each_stage_is_compiled_once(monkeypatch):
-    # the stage-i term of rec(x) (a.x + b.x) holds 2^i - 1 sums; only the
-    # outermost one of each stage is compiled
-    wedges = []
-    original = ccs._wedge
-    monkeypatch.setattr(ccs, "_wedge", lambda *args: wedges.append(1) or original(*args))
+    # the stage-i term of rec(x) (a.x + b.x) holds 2^i - 1 sums; each
+    # stage is one region glued once, the nil stage and then 7 more
+    glues = []
+    original = ccs.glue
+    monkeypatch.setattr(ccs, "glue", lambda *a, **k: glues.append(1) or original(*a, **k))
     K = compile_text("rec(x) (a.x + b.x)", ALPHA, unfold_depth=7)
     assert K.truncated
-    assert len(wedges) == 7
+    assert len(glues) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,57 @@ def test_check_too_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path} nests too deeply to read\n"
 
 
+WRITERS = {
+    "check": lambda files, out: ["check", files["cube"], "--out", out],
+    "realize": lambda files, out: ["realize", files["square"], "--out", out],
+    "export": lambda files, out: ["export", files["cube"], "--out", out],
+    "ccs-compile": lambda files, out: ["ccs", "compile", "a.nil", "--alphabet",
+                                       files["alphabet"], "--output", out],
+    "fixtures-emit": lambda files, out: ["fixtures", "emit", "Da", "--out", out],
+    "cubify": lambda files, out: ["cubify", files["cube"], "--out-prefix", out],
+}
+
+
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_an_output_that_cannot_be_written_is_an_input_error(
+    fixture_file, alphabet_file, tmp_path, capsys, command
+):
+    files = {"cube": fixture_file("cube_ab"), "square": fixture_file("doublesquare"),
+             "alphabet": alphabet_file}
+    # cubify makes missing directories, so its prefix runs through a file
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    parent = tmp_path / ("file" if command == "cubify" else "missing")
+    code = main(WRITERS[command](files, str(parent / "dir" / "x.json")))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {parent}") and err.count("\n") == 1
+
+
+def test_an_output_naming_a_directory_is_an_input_error(fixture_file, tmp_path, capsys):
+    code = main(["check", fixture_file("cube_ab"), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
+def test_a_document_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"states": ["\xff"]}')
+    code = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} is not UTF-8 text: ") and err.count("\n") == 1
+
+
+def test_an_alphabet_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "alphabet.json"
+    path.write_bytes(b'{"labels": ["\xff"]}')
+    code = main(["ccs", "compile", "nil", "--alphabet", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} is not UTF-8 text: ") and err.count("\n") == 1
+
+
 def test_an_internal_error_exits_3_with_one_line(fixture_file, monkeypatch, capsys):
     import hdts.cli
 
