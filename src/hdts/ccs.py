@@ -264,7 +264,7 @@ class _Parser:
             return Rec(var[1], body)
         if kind == "(" and self.tokens[self.k + 1][:2] == ("ident", "nu"):
             self.k += 2
-            label = self.label()
+            pos, label = self.peek()[2], self.label()
             if label == self.cfg.tau:
                 raise CcsSyntaxError("the silent label cannot be restricted", pos)
             self.expect(")")

@@ -14,20 +14,23 @@ inclusions and swap isomorphisms.
 That colimit is built without gluing or search.  A cell of E(c, d) is
 *interior* when its vertices vary in every coordinate of both cubes: a
 direction table, which moves each coordinate along one of its n
-directions, each direction moving one coordinate of one cube or a
-partner pair (a silent step).  Its face (i, alpha) fixes direction i
-at alpha, an interior cell of the entry of a face pair, and every
-boundary cell arises so exactly once; a swap exchanges two directions.
-So the colimit has one cell per interior cell of a pair of least cells
-of swap orbits, up to the pair's stabilizer, numbered per dimension by
-the pair and then by the class's least entry cell.
+directions, each direction moving a coordinate of one cube or a partner
+pair (a silent step).  Its face (i, alpha) fixes direction i at alpha:
+a slot (coordinate of c or none, coordinate of d or none, alpha), whose
+face pair is one face-row read on each side, and an interior cell of
+that pair's entry; every boundary cell arises so exactly once, and a
+swap exchanges two directions.  So the colimit has one cell per
+interior cell of a pair of least cells of swap orbits, up to the pair's
+stabilizer, numbered per dimension by the pair and then by the class's
+least entry cell.  A pair with a vertex v needs no entry: the point is
+the product's unit, so the slice K x {v} is K renumbered, rows and all.
 
 An entry depends on its label words only through their shape (lengths,
 equal, silent and partner letters), so entries are built once per shape
 over renamed words and cached for the process, as are the cell maps
 between entries along permutations of the cubes, which reindex tables.
-All else lives for one product: each face of an output cell is a
-lookup in a table of output ids built once per pair and dimension.
+All else lives for one product: each face slot is resolved once per
+pair and dimension to the output ids of its entry's cells.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .alphabet import Alphabet
 from .encoding import (
@@ -44,14 +47,12 @@ from .encoding import (
     POS,
     CubeEncoding,
     all_encodings,
-    compose,
+    compose,  # not called here; benchmarks/test_bench.py reads it back after tracing
     cube_vertices,
     edge_ids,
     face_encoding,
-    identity_encoding,
     sym_encoding,
     vertex_ids,
-    word_along,
 )
 from .precube import EMPTY_PRECUBE, PrecubeError, PrecubicalSet
 
@@ -254,17 +255,17 @@ class _PairEntry:
     dimension, a cell is its index in ``tables``, in the coskeleton's
     order.  Per cell, ``labels`` has a letter per direction, ``swaps``
     the cell with directions i and i + 1 exchanged, and ``faces``, for
-    i = 1..n and alpha = 0, 1, a pair (slot, z): ``pairs[n][slot]`` are
-    the order-preserving faces of [k] and [l] that fix the fiber of
-    direction i at alpha, and z is the cell with direction i dropped in
-    the entry of the face shape.
+    i = 1..n and alpha = 0, 1, a pair (slot, z): ``slots[n][slot]`` is
+    the triple (coordinate of u or None, coordinate of v or None,
+    alpha) that the fiber of direction i fixes at alpha, and z is the
+    cell with direction i dropped in the entry of the face shape.
     """
 
     tables: Mapping[int, tuple[tuple[int, ...], ...]]  # dim -> tables, in cell order
     index: Mapping[int, Mapping[tuple[int, ...], int]]  # dim -> table -> cell
     labels: Mapping[int, tuple[tuple[str, ...], ...]]
     swaps: Mapping[int, tuple[tuple[int, ...], ...]]
-    pairs: Mapping[int, tuple[tuple[CubeEncoding, CubeEncoding], ...]]  # dim -> face-map pairs
+    slots: Mapping[int, tuple[tuple[int | None, int | None, int], ...]]  # dim -> face slots
     faces: Mapping[int, tuple[tuple[tuple[int, int], ...], ...]]  # dim -> per cell (slot, z)
 
 
@@ -286,35 +287,18 @@ def _shape(word_k: tuple, word_l: tuple, cfg: Alphabet) -> tuple[tuple, dict[str
     for x in word_k + word_l:
         if cfg.check_label(x) not in rename:
             rename[x] = str(len(rename) - 1)
-    pairs = {
-        tuple(sorted((c, rename[cfg.bar(x)]))) for x, c in rename.items() if cfg.bar(x) in rename
-    }
-    key = (
-        tuple(rename[x] for x in word_k),
-        tuple(rename[x] for x in word_l),
-        tuple(sorted(pairs)),
-    )
+    bar = cfg.bar
+    pairs = {tuple(sorted((c, rename[bar(x)]))) for x, c in rename.items() if bar(x) in rename}
+    key = (tuple(map(rename.get, word_k)), tuple(map(rename.get, word_l)), tuple(sorted(pairs)))
     return key, {c: x for x, c in rename.items()}
 
 
 @lru_cache(maxsize=None)
-def _fixing(n: int, coords: tuple[int, ...], alpha: int) -> CubeEncoding:
-    """The order-preserving face of [n] that fixes ``coords`` (ascending,
-    from 0) at ``alpha``."""
-    enc = identity_encoding(n)
-    for c in reversed(coords):
-        enc = compose(face_encoding(c + 1, alpha, enc.m), enc)
-    return enc
-
-
-def _restrict_cell(Z: PrecubicalSet, cell: tuple[int, int], face: CubeEncoding) -> tuple[int, int]:
-    """A cell of ``Z`` restricted along an order-preserving face map."""
-    n, c = cell
-    for j in range(face.n, 0, -1):
-        if face.fhat[j - 1] in (NEG, POS):
-            c = Z.face(n, c, j, int(face.fhat[j - 1] == POS))
-            n -= 1
-    return n, c
+def _canon(n: int) -> tuple:
+    """The shape of n distinct letters and the empty word.  Its n-cells
+    are the permutations of [n], in the order of every entry with an
+    empty side: the cells of a cell paired with a vertex."""
+    return tuple(map(str, range(n))), (), ()
 
 
 def _moves(shape: tuple) -> list[tuple[tuple[int, ...], ...]]:
@@ -351,7 +335,8 @@ def _shape_entry(shape: tuple) -> _PairEntry:
     fibered product of the skeletons of the two cubes.  The coskeleton
     numbers its n-cells by the corner bits of their vertices; for a
     table these are the indicators of directions n, n - 1, ..., 1 in
-    turn, which is the sort key here.
+    turn, which is the sort key here.  A face shape with an empty side
+    is ``_canon``: such an entry's tables do not depend on its letters.
     """
     word_k, word_l, pairs = shape
     cfg = Alphabet(frozenset(word_k + word_l + (_TAU,)), _TAU, pairs)
@@ -368,7 +353,7 @@ def _shape_entry(shape: tuple) -> _PairEntry:
             label = tuple(w for _, w in sorted(zip(order, word)))
             found.setdefault(n, []).append((tuple(table), label))
 
-    tables, index, labels, swaps, pairs, faces = {}, {}, {}, {}, {}, {}
+    tables, index, labels, swaps, slots, faces = {}, {}, {}, {}, {}, {}
     face_entries: dict[tuple, _PairEntry] = {}
     for n in sorted(found):
         cells = sorted(
@@ -378,24 +363,24 @@ def _shape_entry(shape: tuple) -> _PairEntry:
         labels[n] = tuple(w for _, w in cells)
         index[n] = {t: x for x, t in enumerate(tables[n])}
         swaps[n] = tuple(tuple(index[n][_swap(t, i)] for i in range(1, n)) for t in tables[n])
-        rows, slots = [], {}
+        rows, here = [], {}
         for t in tables[n]:
             row = []
             for i in range(1, n + 1):
                 fixed = tuple(c for c, d in enumerate(t) if d == i)
-                fk = tuple(c for c in fixed if c < k)
-                fl = tuple(c - k for c in fixed if c >= k)
+                jk = next((c for c in fixed if c < k), None)
+                jl = next((c - k for c in fixed if c >= k), None)
                 if fixed not in face_entries:
-                    sub_k = word_along(word_k, _fixing(k, fk, 0))
-                    sub_l = word_along(word_l, _fixing(len(word_l), fl, 0))
-                    face_entries[fixed] = _shape_entry(_shape(sub_k, sub_l, cfg)[0])
+                    sub_k = tuple(x for c, x in enumerate(word_k) if c != jk)
+                    sub_l = tuple(x for c, x in enumerate(word_l) if c != jl)
+                    face = _shape(sub_k, sub_l, cfg)[0] if sub_k and sub_l else _canon(n - 1)
+                    face_entries[fixed] = _shape_entry(face)
                 z = face_entries[fixed].index[n - 1][tuple(d - (d > i) for d in t if d != i)]
                 for alpha in (0, 1):
-                    pair = (_fixing(k, fk, alpha), _fixing(len(word_l), fl, alpha))
-                    row.append((slots.setdefault(pair, len(slots)), z))
+                    row.append((here.setdefault((jk, jl, alpha), len(here)), z))
             rows.append(tuple(row))
-        pairs[n], faces[n] = tuple(slots), tuple(rows)
-    return _PairEntry(tables, index, labels, swaps, pairs, faces)
+        slots[n], faces[n] = tuple(here), tuple(rows)
+    return _PairEntry(tables, index, labels, swaps, slots, faces)
 
 
 @lru_cache(maxsize=1024)
@@ -406,51 +391,52 @@ def _entry_size(shape: tuple) -> int:
 
 
 @lru_cache(maxsize=8192)
-def _pair_map(src_shape, dst_shape, enc_k: CubeEncoding, enc_l: CubeEncoding, n: int) -> tuple:
+def _pair_map(src_shape, dst_shape, perm_k: tuple, perm_l: tuple, n: int) -> tuple:
     """The cell map between the n-cells of the entries of two shapes
-    along permutations ``enc_k`` and ``enc_l`` of the two cubes: the
+    along permutations of the two cubes, given by their tables: the
     image of each source cell, by position.  It reindexes tables:
     coordinate r of the image reads the direction of source coordinate
-    ``fhat[r]``, for ``fhat`` the two coordinate tables side by side,
+    ``fhat[r]``, for ``fhat`` the two permutation tables side by side,
     so it reads no labels and serves every word pair of the two shapes."""
     index = _shape_entry(dst_shape).index[n]
-    fhat = enc_k.fhat + tuple(enc_k.m + c for c in enc_l.fhat)
+    fhat = perm_k + tuple(len(perm_k) + c for c in perm_l)
     return tuple(index[tuple(t[c - 1] for c in fhat)] for t in _shape_entry(src_shape).tables[n])
 
 
-def _orbits(Z: PrecubicalSet):
-    """The swap orbits of the cells of ``Z``.
+def _perms(n: int) -> tuple[tuple[int, ...], ...]:
+    """The permutation tables of [n], by position: identity first."""
+    return _shape_entry(_canon(n)).tables[n]
 
-    Returns ``rep``, sending each cell (n, c) to (r, pi): r is the least
-    cell of its orbit and pi a permutation of [n] with c = r restricted
-    along pi; and ``stab``, sending each such (n, r) to permutations
-    that generate its stabilizer (Schreier generators, none when it is
-    trivial).
-    """
-    rep: dict[tuple[int, int], tuple[int, CubeEncoding]] = {}
-    stab: dict[tuple[int, int], list[CubeEncoding]] = {}
+
+def _orbits(Z: PrecubicalSet):
+    """The swap orbits of the cells of ``Z``, as ints: ``rep[n][c] =
+    (r, x)`` for each n-cell c, with r the least cell of c's orbit and c
+    r restricted along the permutation ``_perms(n)[x]``, x least (0 for
+    r); and per orbit (n, r), ``cells``, the cell at each position, and
+    ``stab``, the permutations other than the identity that fix r."""
+    rep, cells, stab = {}, {}, {}
     for n in Z.dims():
-        ident = identity_encoding(n)
+        here, perms, syms = rep.setdefault(n, {}), _perms(n), Z.syms[n]
+        position = _shape_entry(_canon(n)).index[n]
+        swaps = [_swap(perms[0], i) for i in range(1, n)]
+        if n < 2:  # no swaps: every cell is its own orbit
+            for r in Z.ncells(n):
+                here[r], cells[(n, r)], stab[(n, r)] = (r, 0), [r], []
         for r in Z.ncells(n):
-            if (n, r) in rep:
+            if r in here:
                 continue
-            rep[(n, r)] = (r, ident)
-            inverse = {r: ident}
-            gens = set()
-            queue = [r]
-            for c in queue:
-                pi = rep[(n, c)][1]
-                for i in range(1, n):
-                    s, swap = Z.sym(n, c, i), sym_encoding(i, n)
-                    via = compose(swap, pi)
-                    if (n, s) not in rep:
-                        rep[(n, s)] = (r, via)
-                        inverse[s] = compose(inverse[c], swap)
-                        queue.append(s)
-                    elif via != rep[(n, s)][1]:
-                        gens.add(compose(inverse[s], via))
-            stab[(n, r)] = sorted(gens)
-    return rep, stab
+            at, queue = [r] + [None] * (len(perms) - 1), [0]
+            for x in queue:  # the swap s_i of the cell along pi lies along compose(swap_i, pi)
+                for swap, s in zip(swaps, syms[at[x]]):
+                    y = position[tuple([swap[j - 1] for j in perms[x]])]
+                    if at[y] is None:
+                        at[y] = s
+                        queue.append(y)
+            for x, c in enumerate(at):
+                here.setdefault(c, (r, x))
+            cells[(n, r)] = at
+            stab[(n, r)] = [perms[x] for x, c in enumerate(at) if c == r and x]
+    return rep, cells, stab
 
 
 #: The most cells a product may have before stabilizers are divided out
@@ -464,94 +450,141 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
     Its n-cells are the interior n-cells of the entries E(c, d), for c
     and d least in their swap orbits, up to the stabilizer of (c, d),
     numbered per dimension by (dim c, c, dim d, d), then by the class's
-    least table (the colimit's numbering, see the module docstring).
-    Swaps are the entry's.  Face (i, alpha) is a slot, naming face maps
-    of c and d, and a cell of the face pair's entry; per pair and
-    dimension each slot is resolved once to the output id of every such
-    cell, by restricting c and d, moving to the least pair of their
-    orbits and reindexing by ``_pair_map``.  More than
-    ``MAX_PRODUCT_CELLS`` cells raise ``PrecubeError`` before any is
-    built.  Decorations and initial vertices pair up.
+    least table (see the module docstring).  More than
+    ``MAX_PRODUCT_CELLS`` cells raise ``PrecubeError`` before any entry
+    is built.  One pass in that order numbers two kinds of blocks and
+    writes their rows (a face pair comes before its pair):
+
+    - a cell paired with a vertex v: the classes of the block of (c, v)
+      are the cells of c's orbit, by least position (``_orbits``), so
+      the slice K x {v} is K's rows and words through their ids, and
+      likewise {u} x L;
+    - any other pair: the entry's classes and swaps, each face slot
+      resolved once to the ids of the face pair's entry (the least pair
+      of the two orbits, through ``_pair_map`` off the identity), and
+      words that share one tuple when equal.
+
+    Decorations and initial vertices pair up.
     """
     if not K.vertices or not L.vertices:
         return EMPTY_PRECUBE
-    krep, kstab = _orbits(K)
-    lrep, lstab = _orbits(L)
-    shapes: dict[tuple, tuple[tuple, dict[str, str]]] = {}
+    krep, kcells, kstab = _orbits(K)
+    lrep, lcells, lstab = _orbits(L)
+    shapes: dict[tuple, tuple[tuple, dict[str, str], dict]] = {}
 
-    def shape_of(ko, lo):
-        words = (K.label(*ko), L.label(*lo))
+    def shape_of(kn, kc, ln, lc):
+        words = (K.labels[kn][kc], L.labels[ln][lc])
         if words not in shapes:
-            shapes[words] = _shape(*words, cfg)
+            shapes[words] = (*_shape(*words, cfg), {})  # shape, letters, words by dim
         return shapes[words]
 
-    reps = [(ko, lo, *shape_of(ko, lo)) for ko in sorted(kstab) for lo in sorted(lstab)]
-    size = sum(_entry_size(shape) for _, _, shape, _ in reps)
+    kv, lv, kreps, lreps = K.vertices, L.vertices, sorted(kcells), sorted(lcells)
+    general = [shape_of(*ko, *lo) for ko in kreps[len(kv):] for lo in lreps[len(lv):]]
+    size = sum(_entry_size(shape) for shape, _, _ in general)
+    size += len(lv) * sum(math.factorial(n) for n, _ in kreps[len(kv):])
+    size += len(kv) * sum(math.factorial(n) for n, _ in lreps)
     if size > MAX_PRODUCT_CELLS:
         raise PrecubeError(f"parallel product too large: {size} cells, over {MAX_PRODUCT_CELLS}")
-    reps = [(ko, lo, shape, letters, _shape_entry(shape)) for ko, lo, shape, letters in reps]
 
-    # number the stabilizer classes, least pair first: ids[(c, d)][p][x] is the output
-    # cell of p-cell x of the entry, least[(c, d)][p] the least cell of each class;
-    # ids holds lists, not ranges, so that the faces naming a cell share its int
-    ids: dict[tuple, dict[int, Sequence[int]]] = {}
-    least: dict[tuple, dict[int, Sequence[int]]] = {}
+    # ids are made once, in lists, so that every row naming a cell shares its int
     counts: dict[int, int] = {}
-    for ko, lo, shape, _, entry in reps:
-        here, firsts = ids[(ko, lo)], least[(ko, lo)] = {}, {}
-        for p, xs in entry.tables.items():
-            start = counts[p] = counts.get(p, 0)
-            if not (kstab[ko] or lstab[lo]):  # a trivial stabilizer: one class per cell
-                here[p], firsts[p] = list(range(start, start + len(xs))), range(len(xs))
-                counts[p] += len(xs)
-                continue
-            gens = [_pair_map(shape, shape, s, identity_encoding(lo[0]), p) for s in kstab[ko]]
-            gens += [_pair_map(shape, shape, identity_encoding(ko[0]), t, p) for t in lstab[lo]]
-            out, firsts[p] = [None] * len(xs), []
-            for x in range(len(xs)):
-                if out[x] is None:
-                    firsts[p].append(x)
-                    out[x], orbit = counts[p], [x]
-                    for y in orbit:
-                        for g in gens:
-                            if out[g[y]] is None:
-                                out[g[y]] = counts[p]
-                                orbit.append(g[y])
-                    counts[p] += 1
-            here[p] = out
 
-    # (cell, face map) -> (restriction, least cell of its orbit, permutation),
-    # one memo per factor since K is L happens
-    memo_k, memo_l = {}, {}
+    def number(p, count, gens):
+        """Per cell of an entry, the id of its class under ``gens``; the least cells."""
+        start = counts.get(p, 0)
+        if not gens:
+            counts[p] = start + count
+            return list(range(start, start + count)), range(count)
+        out, least = [None] * count, []
+        for x in range(count):
+            if out[x] is None:
+                least.append(x)
+                out[x], orbit = start, [x]
+                for y in orbit:
+                    for g in gens:
+                        if out[g[y]] is None:
+                            out[g[y]] = start
+                            orbit.append(g[y])
+                start += 1
+        counts[p] = start
+        return out, least
 
-    def restrict(Z, rep, memo, cell, face):
-        c = _restrict_cell(Z, cell, face)
-        return memo.setdefault((cell, face), (c, (c[0], rep[c][0]), rep[c][1]))
+    # kslice[v][n][c] is the id of (c, v), lslice[u][n][d] that of (u, d), and
+    # ids[(kn, kc, ln, lc)][p][x] that of p-cell x of the entry of a pair without a vertex
+    kslice = {v: {n: {} for n in K.dims()} for v in lv}
+    lslice = {u: {n: {} for n in L.dims()} for u in kv}
+    ids: dict[tuple, dict[int, list[int]]] = {}
 
-    def resolve(ko, lo, n, enc_k, enc_l) -> Sequence[int]:
-        """The output ids of the n-cells of the face pair's entry along the two maps."""
-        kc, kr, kpi = memo_k.get((ko, enc_k)) or restrict(K, krep, memo_k, ko, enc_k)
-        lc, lr, lpi = memo_l.get((lo, enc_l)) or restrict(L, lrep, memo_l, lo, enc_l)
-        out = ids[(kr, lr)][n]
-        if kpi.is_identity and lpi.is_identity:
+    def block(mk, fk, ml, fl, p):
+        """The ids of the p-cells of the entry of (fk, fl), by position."""
+        (kr, kx), (lr, lx) = krep[mk][fk], lrep[ml][fl]
+        if mk and ml:
+            out = ids[(mk, kr, ml, lr)][p]
+            if kx or lx:
+                src, dst = shape_of(mk, fk, ml, fl)[0], shape_of(mk, kr, ml, lr)[0]
+                out = [out[y] for y in _pair_map(src, dst, _perms(mk)[kx], _perms(ml)[lx], p)]
             return out
-        return [out[y] for y in _pair_map(shape_of(kc, lc)[0], shape_of(kr, lr)[0], kpi, lpi, n)]
+        if ml:
+            cell_ids, at, x = lslice[fk][ml], lcells[(ml, lr)], lx
+        else:
+            cell_ids, at, x = kslice[fl][mk], kcells[(mk, kr)], kx
+        if x:
+            at = [at[y] for y in _pair_map(_canon(p), _canon(p), _perms(p)[x], (), p)]
+        return list(map(cell_ids.__getitem__, at))
 
-    faces, syms, labels = {}, {}, {}
-    for p in sorted(counts):
-        frows, srows, words_p = faces[p], syms[p], labels[p] = {}, {}, {}
-        for ko, lo, _, letters, entry in (r for r in reps if p in r[4].tables):
-            here, words, swaps = ids[(ko, lo)][p], entry.labels[p], entry.swaps[p]
-            resolved = [resolve(ko, lo, p - 1, *pair) for pair in entry.pairs[p]]
-            for x in least[(ko, lo)][p]:
-                k = here[x]
-                words_p[k] = tuple(map(letters.__getitem__, words[x]))
-                frows[k] = tuple([resolved[slot][z] for slot, z in entry.faces[p][x]])
-                srows[k] = tuple(map(here.__getitem__, swaps[x]))
-    cells = {p: range(count) for p, count in sorted(counts.items())}
+    faces, syms, labels = ({p: {} for p in range(K.dim + L.dim + 1)} for _ in range(3))
+    interned: dict[tuple, tuple] = {}
+    pending = iter(general)
+    for ko in kreps:
+        kn, kc = ko
+        if not kn:  # the blocks of {u} x L
+            for m, d in lreps:
+                order = list(dict.fromkeys(lcells[(m, d)]))
+                lslice[kc][m].update(zip(order, number(m, len(order), ())[0]))
+                if not m:
+                    kslice[d][0][kc] = lslice[kc][0][d]
+            continue
+        order = list(dict.fromkeys(kcells[ko]))
+        for v in lv:  # the block of (ko, v) in K x {v}
+            kslice[v][kn].update(zip(order, number(kn, len(order), ())[0]))
+        for lo in lreps[len(lv):]:
+            (ln, lc), (shape, letters, words) = lo, next(pending)
+            entry, here = _shape_entry(shape), ids.setdefault((kn, kc, ln, lc), {})
+            kfaces, lfaces = K.faces[kn][kc], L.faces[ln][lc]
+            for p, tables in entry.tables.items():
+                gens = [_pair_map(shape, shape, s, _perms(ln)[0], p) for s in kstab[ko]]
+                gens += [_pair_map(shape, shape, _perms(kn)[0], t, p) for t in lstab[lo]]
+                out, least = number(p, len(tables), gens)
+                here[p] = out
+                if p not in words:
+                    translated = (tuple(map(letters.__getitem__, u)) for u in entry.labels[p])
+                    words[p] = [interned.setdefault(w, w) for w in translated]
+                resolved = [
+                    block(*((kn, kc) if jk is None else (kn - 1, kfaces[2 * jk + alpha])),
+                          *((ln, lc) if jl is None else (ln - 1, lfaces[2 * jl + alpha])), p - 1)
+                    for jk, jl, alpha in entry.slots[p]
+                ]
+                frows, srows, wrows = faces[p], syms[p], labels[p]
+                wp, swaps, rows = words[p], entry.swaps[p], entry.faces[p]
+                for x in least:
+                    k = out[x]
+                    wrows[k] = wp[x]
+                    frows[k] = tuple([resolved[slot][z] for slot, z in rows[x]])
+                    srows[k] = tuple(map(out.__getitem__, swaps[x]))
+
+    for Z, slices, first in ((L, lslice, 0), (K, kslice, 1)):  # vertices once
+        for cell_ids in slices.values():
+            for n in Z.dims()[first:]:
+                here, below = cell_ids[n], cell_ids.get(n - 1, {})
+                zfaces, zsyms, zwords = Z.faces[n], Z.syms[n], Z.labels[n]
+                for c, k in here.items():
+                    faces[n][k] = tuple(map(below.__getitem__, zfaces[c]))
+                    syms[n][k] = tuple(map(here.__getitem__, zsyms[c]))
+                    labels[n][k] = zwords[c]
+    cells = {p: range(counts[p]) for p in faces}
 
     def pair_vertex(u, v) -> int:
-        return ids[((0, u), (0, v))][0][0]
+        return lslice[u][0][v]
 
     decoration = {
         pair_vertex(u, v): f"{K.decoration[u]} || {L.decoration[v]}"

@@ -103,6 +103,20 @@ def test_parse_errors_carry_positions():
 @pytest.mark.parametrize(
     "text,error",
     [
+        ("(nu tau)(a.nil)", "the silent label cannot be restricted (at position 4)"),
+        ("a.nil + (nu tau)(b.nil)", "the silent label cannot be restricted (at position 12)"),
+        ("(nu zz)a.nil", "unknown label 'zz' (at position 4)"),
+    ],
+)
+def test_restriction_errors_point_at_the_label(text, error):
+    with pytest.raises(CcsSyntaxError) as exc:
+        parse(text, ALPHA)
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
         ("rec(x) a.rec(x) x", "recursion variable 'x' must be guarded (at position 16)"),
         ("rec(x) (rec(x) a.x + x)", "recursion variable 'x' must be guarded (at position 21)"),
         ("rec(x) a.rec(y) (x + b.y) + y", "unbound variable 'y' (at position 28)"),

@@ -23,6 +23,7 @@ from hdts import (
     CubeEncoding,
     PrecubeError,
     check_relations,
+    compile_text,
     cosk_directed,
     cube,
     fibered_product,
@@ -37,7 +38,14 @@ from hdts import (
 )
 from hdts import ccs, sync
 from hdts.alphabet import ConfigError, make_alphabet
-from hdts.encoding import NEG, POS, all_encodings, cube_vertices
+from hdts.encoding import (
+    NEG,
+    POS,
+    all_encodings,
+    cube_vertices,
+    face_encoding,
+    identity_encoding,
+)
 from hdts.serialize import dumps, precube_to_json
 from hdts.sync import _fibered
 
@@ -453,6 +461,16 @@ def coskeleton_entry(word_k, word_l, cfg):
     return entry + (interior_tables(entry, len(word_k), len(word_l)),)
 
 
+def slot_maps(slot, m, n):
+    """The face maps of [m] and [n] that a slot (coordinate of the first
+    cube or None, coordinate of the second or None, alpha) fixes."""
+    jk, jl, alpha = slot
+    return tuple(
+        identity_encoding(size) if j is None else face_encoding(j + 1, alpha, size)
+        for j, size in ((jk, m), (jl, n))
+    )
+
+
 def check_entry_against_the_coskeleton(word_k, word_l, cfg, got, letters):
     """``got`` (a closed-form entry over the renamed letters ``letters``
     maps back from) is the interior of ``cosk_directed`` of
@@ -489,7 +507,9 @@ def check_entry_against_the_coskeleton(word_k, word_l, cfg, got, letters):
                 for alpha in (0, 1):
                     [hit] = hits[(d - 1, pc.face(d, c, i, alpha))]
                     want.append(hit)
-            assert tuple(got.pairs[d][slot] + (z,) for slot, z in got.faces[d][x]) == tuple(want)
+            slots = got.slots[d]
+            got_faces = tuple(slot_maps(slots[s], m, n) + (z,) for s, z in got.faces[d][x])
+            assert got_faces == tuple(want)
     for d in pc.dims():
         for c in pc.ncells(d):
             if (d, c) not in rank:
@@ -573,3 +593,83 @@ def test_tensor_of_renumbered_factors_matches_word_keyed_oracle(pattern, data):
     K, L = data.draw(st.sampled_from([pair, pair[::-1]]))
     want = precube_to_json(word_keyed_tensor_sync(K, L, ALPHA))
     assert precube_to_json(tensor_sync(K, L, ALPHA)) == want
+
+
+# ---------------------------------------------------------------------------
+# the two kinds of blocks: slices of the factors, and pairs without a vertex
+
+#: one term per class of the compile-par benchmark's decks: two and three
+#: paths, four edges, a free and a restricted synchronizing pair beside a
+#: path, two pairs, and a restriction over a whole product
+PAR_ALPHA = make_alphabet(sorted(ALPHA.labels | set("defgh")), pairs=ALPHA.pairs)
+PAR_DECK_TERMS = [
+    "d.e.nil || f.g.h.nil",
+    "a.b.c.nil || d.e.f.nil || g.nil",
+    "d.nil || e.nil || f.nil || g.nil",
+    "(a.nil || abar.nil) || d.e.nil",
+    "(nu a)(a.nil || abar.nil) || d.e.nil",
+    "(a.nil || abar.nil) || (b.nil || bbar.nil)",
+    "(nu e)(d.e.nil || f.g.nil)",
+    "(nu d)((a.nil || abar.nil) || d.nil)",
+]
+
+#: sha256 over the compiled JSON of ``RANDOM_SYNC_TERMS`` (over ``ALPHA``),
+#: then ``PAR_DECK_TERMS`` (over ``PAR_ALPHA``), at unfold depth 4
+GOLDEN_PAR_DIGEST = "a6828494b35b8bfe06fc331f621e2982cd7f2e83479f481790b7e2dcab05b063"
+
+
+def test_parallel_compile_bytes_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for text in RANDOM_SYNC_TERMS:
+        digest.update(dumps(compile_text(text, ALPHA, 4)).encode())
+    for text in PAR_DECK_TERMS:
+        digest.update(dumps(compile_text(text, PAR_ALPHA, 4)).encode())
+    assert digest.hexdigest() == GOLDEN_PAR_DIGEST
+
+
+def test_no_pair_with_a_vertex_builds_a_shape(monkeypatch):
+    shape = sync._shape
+
+    def refuse_a_vertex(word_k, word_l, cfg):
+        if not (word_k and word_l):
+            raise AssertionError(f"a shape was built for {word_k} and {word_l}")
+        return shape(word_k, word_l, cfg)
+
+    sync._shape_entry.cache_clear()
+    monkeypatch.setattr(sync, "_shape", refuse_a_vertex)
+    for text in CCS_CORPUS + RANDOM_SYNC_TERMS:
+        compile_text(text, ALPHA, 4)
+
+
+@pytest.mark.parametrize("term,size", [("a.b.nil", 38), ("a.nil || abar.nil", 122)])
+def test_slices_under_a_stabilizer_match_word_keyed_oracle(term, size):
+    """Each vertex of the other factor makes one slice of the square
+    that is its own swap, and its cells pair with the square too."""
+    S, T = self_swapped_square(), compile_text(term, ALPHA)
+    for K, L in ((S, T), (T, S)):
+        out = tensor_sync(K, L, ALPHA)
+        check_relations(out)
+        assert out.size == size
+        assert precube_to_json(out) == precube_to_json(word_keyed_tensor_sync(K, L, ALPHA))
+
+
+def test_equal_words_share_one_tuple_in_a_product():
+    K = compile_text(p_term(7), make_alphabet([f"p{k}" for k in range(7)]))
+    words = [w for rows in K.labels.values() for w in rows.values()]
+    assert len(words) == 37_200
+    assert len({id(w) for w in words}) == len(set(words)) == 13_700
+
+
+def test_too_large_a_product_raises_before_any_pair_entry(monkeypatch):
+    entry = sync._shape_entry
+
+    def refuse_a_pair(shape):  # entries with an empty side are permutation tables
+        if shape[0] and shape[1]:
+            raise AssertionError(f"the entry of {shape} was built")
+        return entry(shape)
+
+    K = compile_text(p_term(5), P_ALPHA)
+    monkeypatch.setattr(sync, "_shape_entry", refuse_a_pair)
+    too_large = r"^parallel product too large: 26813184 cells, over 50000$"
+    with pytest.raises(PrecubeError, match=too_large):
+        tensor_sync(K, K, P_ALPHA)
