@@ -419,9 +419,6 @@ def _orbits(Z: PrecubicalSet):
         here, perms, syms = rep.setdefault(n, {}), _perms(n), Z.syms[n]
         position = _shape_entry(_canon(n)).index[n]
         swaps = [_swap(perms[0], i) for i in range(1, n)]
-        if n < 2:  # no swaps: every cell is its own orbit
-            for r in Z.ncells(n):
-                here[r], cells[(n, r)], stab[(n, r)] = (r, 0), [r], []
         for r in Z.ncells(n):
             if r in here:
                 continue
@@ -492,9 +489,6 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
     def number(p, count, gens):
         """Per cell of an entry, the id of its class under ``gens``; the least cells."""
         start = counts.get(p, 0)
-        if not gens:
-            counts[p] = start + count
-            return list(range(start, start + count)), range(count)
         out, least = [None] * count, []
         for x in range(count):
             if out[x] is None:
