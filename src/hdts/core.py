@@ -15,6 +15,7 @@ order so results are reproducible run to run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,6 +72,11 @@ def transition(src: int, acts: Iterable[int], tgt: int) -> Transition:
 def _ordered(transitions: Iterable[Transition]) -> list[Transition]:
     """Transitions in (arity, src, acts, tgt) order, the order of every scan."""
     return sorted(transitions, key=lambda t: (t.arity, t.src, t.acts, t.tgt))
+
+
+def _from_arity(order: list[Transition], least: int) -> list[Transition]:
+    """The transitions of ``order``, sorted by arity, from arity ``least`` on."""
+    return order[bisect_left(order, least, key=Transition.arity.fget):]
 
 
 @dataclass(frozen=True)
@@ -137,30 +143,26 @@ def proper_submultisets(acts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((s for s in subs if 0 < len(s) < len(acts)), key=lambda t: (len(t), t)))
 
 
-_Decompositions = namedtuple("_Decompositions", "splits by_ab by_a masks")
+_Decompositions = namedtuple("_Decompositions", "splits rest masks")
 
 
 @lru_cache(maxsize=None)
 def _decompositions(acts: tuple[int, ...]) -> _Decompositions:
-    """The decomposition table of the multiset ``acts``: its splits
-    (part, rest) with parts smallest first; its decompositions into
-    non-empty parts as (A, B, C, A+B, B+C), ordered by A+B then A (the
-    coherence scan) and again by A then B (the CSA3 scan); and the part
-    at each position mask 1 .. 2**n - 2 of ``acts``."""
+    """The decomposition table of the multiset ``acts``, built on first
+    use: its splits (part, rest) with parts smallest first, the same as a
+    dict, and the part at each position mask 1 .. 2**n - 2 of ``acts``.
+    The scans read a part's own table only where it has intermediate states."""
     splits = tuple((part, multiset_diff(acts, part)) for part in proper_submultisets(acts))
-    rest = dict(splits)
-    by_ab = tuple((a, b, c, ab, rest[a]) for ab, c in splits for a, b in _decompositions(ab).splits)
-    by_a = tuple(sorted(by_ab, key=lambda d: (len(d[0]), d[0], len(d[1]), d[1])))
     masks = (tuple(x for p, x in enumerate(acts) if m >> p & 1) for m in range(1, (1 << len(acts)) - 1))
-    return _Decompositions(splits, by_ab, by_a, tuple(masks))
+    return _Decompositions(splits, dict(splits), tuple(masks))
 
 
 class _Index:
     """The targets of each (state, multiset) pair, and the split table of
     each transition that the axiom checks, the closure and the cube maps
     read: per part of its multiset, the sorted states nu with (src, part,
-    nu) and (nu, rest, tgt) present, built in one go from the multiset's
-    decomposition table and kept for as long as the set does not change."""
+    nu) and (nu, rest, tgt) present, built from the multiset's decomposition
+    table on first use and kept for as long as the set does not change."""
 
     def __init__(self, transitions: Iterable[Transition]):
         self.targets: dict[tuple[int, tuple[int, ...]], set[int]] = defaultdict(set)
@@ -189,14 +191,16 @@ def _rule_instances(idx: _Index, t: Transition):
     """Instances of the coherence rule on ``t`` as (A, B, C, n1, n2).
 
     n1 splits ``t`` after A and n2 after A+B, so the rule asks for the
-    transition (n1, B, n2).  A+B comes smallest first, then A.
+    transition (n1, B, n2).  A+B comes smallest first, then A, read off the
+    decomposition table of A+B only where some n2 splits ``t`` after A+B.
     """
     inter = idx.splits(t.src, t.acts, t.tgt)
-    for a_part, b_part, c_part, e_part, _ in _decompositions(t.acts).by_ab:
-        n1s, n2s = inter[a_part], inter[e_part]
-        for n1 in n1s if n2s else ():
-            for n2 in n2s:
-                yield a_part, b_part, c_part, n1, n2
+    for e_part, c_part in _decompositions(t.acts).splits:
+        n2s = inter[e_part]
+        for a_part, b_part in _decompositions(e_part).splits if n2s and len(e_part) > 1 else ():
+            for n1 in inter[a_part]:
+                for n2 in n2s:
+                    yield a_part, b_part, c_part, n1, n2
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +303,7 @@ class AxiomReport:
 
 def _check_coherence(order, idx):
     get = idx.targets.get
-    for t in order:
-        if t.arity < 3:
-            continue
+    for t in _from_arity(order, 3):
         for a_part, b_part, c_part, n1, n2 in _rule_instances(idx, t):
             if n2 not in get((n1, b_part), ()):
                 return {
@@ -317,8 +319,8 @@ def _check_coherence(order, idx):
 def _check_csa1(order, labels):
     seen: dict[tuple[int, int, str], Transition] = {}
     for t in order:
-        if t.arity != 1:
-            continue
+        if t.arity > 1:  # ``order`` is sorted by arity
+            break
         key = (t.src, t.tgt, labels[t.acts[0]])
         prev = seen.get(key)
         if prev is not None and prev.acts != t.acts:
@@ -335,9 +337,7 @@ def _splits(order, idx):
     after.  The reverse interleaving of a split is the forward one of
     its complement, so both are read off one split table.
     """
-    for t in order:
-        if t.arity < 2:
-            continue
+    for t in _from_arity(order, 2):
         inter = idx.splits(t.src, t.acts, t.tgt)
         for part, rest in _decompositions(t.acts).splits:
             yield t, part, inter[part], inter[rest]
@@ -365,33 +365,33 @@ def _check_splits(order, idx) -> dict:
 
 
 def _check_csa3(order, idx):
-    for t in order:
-        if t.arity < 3:
-            continue
-        inter = idx.splits(t.src, t.acts, t.tgt)
-        for a_part, b_part, c_part, ab_part, bc_part in _decompositions(t.acts).by_a:
-            n1s = inter[a_part]
-            if not n1s:
-                continue
-            # pairs (n1', n2'): n2' splits t after A+B, n1' splits (t.src, A+B, n2') after A
-            primes = [
-                (n1p, n2p)
-                for n2p in inter[ab_part]
-                for n1p in idx.splits(t.src, ab_part, n2p)[a_part]
-            ]
-            for n1 in n1s if primes else ():
-                # n2 splits (n1, B+C, t.tgt) after B
-                for n2 in idx.splits(n1, bc_part, t.tgt)[b_part]:
-                    for n1p, n2p in primes:
-                        if (n1, n2) != (n1p, n2p):
-                            return {
-                                "transition": t.as_tuple(),
-                                "parts": [list(a_part), list(b_part), list(c_part)],
-                                "nu1": n1,
-                                "nu1_prime": n1p,
-                                "nu2": n2,
-                                "nu2_prime": n2p,
-                            }
+    for t in _from_arity(order, 3):
+        inter, table = idx.splits(t.src, t.acts, t.tgt), _decompositions(t.acts)
+        for a_part, bc_part in table.splits:
+            if len(bc_part) < 2:  # parts come smallest first: no later rest splits either
+                break
+            # per n1 splitting t after A, the split table of (n1, B+C, t.tgt)
+            belows = [(n1, idx.splits(n1, bc_part, t.tgt)) for n1 in inter[a_part]]
+            for b_part, c_part in _decompositions(bc_part).splits if belows else ():
+                ab_part = table.rest[c_part]
+                # pairs (n1', n2'): n2' splits t after A+B, n1' splits (t.src, A+B, n2') after A
+                primes = [
+                    (n1p, n2p)
+                    for n2p in inter[ab_part]
+                    for n1p in idx.splits(t.src, ab_part, n2p)[a_part]
+                ]
+                for n1, below in belows if primes else ():
+                    for n2 in below[b_part]:  # n2 splits (n1, B+C, t.tgt) after B
+                        for n1p, n2p in primes:
+                            if (n1, n2) != (n1p, n2p):
+                                return {
+                                    "transition": t.as_tuple(),
+                                    "parts": [list(a_part), list(b_part), list(c_part)],
+                                    "nu1": n1,
+                                    "nu1_prime": n1p,
+                                    "nu2": n2,
+                                    "nu2_prime": n2p,
+                                }
     return None
 
 

@@ -214,6 +214,47 @@ def random_failing_hdts(seed: int) -> WeakHDTS:
     return WeakHDTS(frozenset(range(k)), base.actions, frozenset(trans))
 
 
+def sparse_top_hdts(seed: int) -> WeakHDTS:
+    """One transition of arity 7 or 8 from state 0 to state 1, over a
+    multiset with repeated ids, and a few partial chains through it.
+
+    Each chain cuts a shuffled copy of the multiset into parts A, B, C
+    and adds some of (0, A, n1), (n1, B, n2), (n2, C, 1), (0, A+B, n2)
+    and (n1, B+C, 1), so that most splits of the top transition have no
+    intermediate state while some A and some A+B have one or more.  A
+    chain may keep the cut of the chain before it, or its order cut
+    elsewhere so that the parts of the two nest, and may run through the
+    states of an earlier chain; a few random transitions over
+    sub-multisets are added on top.
+    """
+    rng = random.Random(seed)
+    n = rng.choice((7, 8))
+    acts = sorted(rng.randint(1, n - 2) for _ in range(n))
+    trans = {transition(0, acts, 1)}
+    states = [0, 1]
+    word, cut = rng.sample(acts, n), sorted(rng.sample(range(1, n), 2))
+    for _ in range(rng.randint(3, 5)):
+        draw = rng.random()  # keep the cut before, or its order cut elsewhere, or neither
+        if draw >= 0.4:
+            cut = sorted(rng.sample(range(1, n), 2))
+        if draw >= 0.7:
+            word = rng.sample(acts, n)
+        a_part, b_part, c_part = word[:cut[0]], word[cut[0]:cut[1]], word[cut[1]:]
+        n1, n2 = len(states), len(states) + 1
+        if len(states) > 2:  # either may be a state of an earlier chain
+            n1, n2 = (rng.choice(states[2:]) if rng.random() < 0.3 else nu for nu in (n1, n2))
+        states += sorted({n1, n2} - set(states))
+        for src, part, tgt in [(0, a_part, n1), (n1, b_part, n2), (n2, c_part, 1),
+                               (0, a_part + b_part, n2), (n1, b_part + c_part, 1)]:
+            if src != tgt and rng.random() < 0.8:
+                trans.add(transition(src, part, tgt))
+    for _ in range(rng.randint(1, 3)):
+        part = rng.sample(acts, rng.randint(1, n - 1))
+        trans.add(transition(rng.choice(states), part, rng.choice(states)))
+    actions = tuple(Action(i, rng.choice("ab")) for i in range(1, n - 1))
+    return WeakHDTS(frozenset(states), actions, frozenset(trans))
+
+
 def random_wedge_diagram(seed: int):
     """Standard cubes and a point, with an arrow from the point to one
     vertex of each cube: (objects, arrows) for ``colimit_presheaf``."""

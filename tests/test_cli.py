@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -597,6 +598,40 @@ def test_ccs_compile_too_deep_is_an_input_error(alphabet_file, term, extra):
     assert code == 2
     assert out == ""
     assert err == "error: the term nests too deeply to compile\n"
+
+
+def _run_bounded(*args):
+    """Exit code, stdout and stderr of this interpreter run on ``args`` in
+    its own process, with 512 MB of address space and 10 s of CPU time."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+    src = str(Path(hdts.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          preexec_fn=limit, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_check_one_16_ary_transition_within_bounds(tmp_path):
+    # two states and one transition on 16 distinct actions: no split has an
+    # intermediate state, so no check reads the splits of any part
+    acts = list(range(1, 17))
+    doc = {"states": [0, 1], "actions": [{"id": a, "label": f"a{a}"} for a in acts],
+           "transitions": [{"src": 0, "acts": acts, "tgt": 1}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_bounded("-m", "hdts.cli", "check", str(path))
+    assert code == 1, err
+    witnesses = json.loads(out)["witnesses"]
+    assert {name: w["split"] for name, w in witnesses.items()} == {
+        "csa2": [1], "uisa": [1], "intermediate": [1]
+    }
+    closure = ("from hdts import coherence_closure, transition; "
+               "T = frozenset({transition(0, range(1, 17), 1)}); print(coherence_closure(T) == T)")
+    assert _run_bounded("-c", closure) == (0, "True\n", "")
 
 
 def test_outputs_are_deterministic(fixture_file, capsys):

@@ -16,6 +16,7 @@ from corpus import (
     random_mixed_corpus,
     random_weak_hdts,
     scan_validate,
+    sparse_top_hdts,
     word_cube,
 )
 from hdts import (
@@ -338,8 +339,9 @@ def test_validate_matches_one_scan_per_axiom_at_higher_arity():
 
 
 def test_axiom_checks_never_call_multiset_diff(monkeypatch):
-    # once the decomposition tables are built, the scans read them and
-    # never take a multiset difference
+    # a multiset's decomposition table is built on first use, and a part's
+    # own table only where a scan finds intermediate states at that part;
+    # once built, the scans read them and never take a multiset difference
     X = cube("abcde")
     want = validate(X), cube_maps_into(5, X)
 
@@ -352,6 +354,37 @@ def test_axiom_checks_never_call_multiset_diff(monkeypatch):
     assert validate(X) == want[0]
     assert coherence_closure(X.transitions) == X.transitions
     assert cube_maps_into(5, X) == want[1]
+
+
+def test_validate_matches_one_scan_per_axiom_on_sparse_tops():
+    # one transition of arity 7 or 8 with only a few populated splits: the
+    # scans read a part's own splits only where it has intermediate states
+    high = Counter()
+    for seed in range(40):
+        X = sparse_top_hdts(seed)
+        report = validate(X).as_dict()
+        assert report == scan_validate(X)
+        assert coherence_closure(X.transitions) == brute_closure(X.transitions)
+        high.update(
+            k for k, w in report["witnesses"].items() if len(w.get("transition", (0, ()))[1]) >= 7
+        )
+    assert high["coherence"] >= 1 and high["csa3"] >= 1
+
+
+def test_axiom_checks_build_one_table_without_intermediate_states():
+    # no split of the 8-ary transition has an intermediate state, so the
+    # checks and the closure read its own table and build no other
+    X = WeakHDTS(
+        frozenset({0, 1}),
+        tuple(Action(i, "a") for i in range(1, 9)),
+        frozenset({transition(0, range(1, 9), 1)}),
+    )
+    core._decompositions.cache_clear()
+    validate(X)
+    assert core._decompositions.cache_info().currsize == 1
+    core._decompositions.cache_clear()
+    assert coherence_closure(X.transitions) == X.transitions
+    assert core._decompositions.cache_info().currsize == 1
 
 
 def test_csa_equivalence_on_corpus():
