@@ -13,30 +13,28 @@ The semantics builds a decorated precubical set with a distinguished
 initial vertex: a prefix puts one edge in front of its body, a sum joins
 its summands at their initial vertices, restriction keeps the cells
 whose label word avoids the restricted pair, and parallel composition is
-the synchronized tensor product.  One walk numbers the cells of a region
-of nil, prefix, sum and restriction nodes and one ``precube.glue`` call
-builds it; the initial vertex of every result but a parallel composition
-is decorated with its term.  ``rec(x) P`` is read off the term: if ``x``
+the synchronized tensor product.  One iterative walk numbers the cells
+of a region of nil, prefix, sum and restriction nodes, writing its
+vertex and edge rows itself, and one ``precube.glue`` call builds it;
+the initial vertex of every result but a parallel composition is
+decorated with its term.  ``rec(x) P`` is read off the term: if ``x``
 is not free in ``P`` the body is its own fixpoint, and otherwise the
-term is unfolded to a depth bound and the result flagged truncated.  No
-stage of a guarded unfolding can equal the one before, since each holds
-the previous stage under a prefix and no operator loses vertices: a
-prefix adds one, a sum of l and r has l + r - 1, restriction keeps every
-vertex and a product multiplies.  Each stage is built from the previous
-one: ``semantics`` reuses the set it holds for a subterm that *is* the
-previous stage's term, by identity, not by hashing or equality, which
-recurse once per nesting level of a deep stage.
+term is unfolded to a depth bound and the result flagged truncated (no
+stage of a guarded unfolding can equal the one before: each holds the
+previous one under a prefix, and no operator loses vertices).  The last
+stage is one term that shares every earlier stage (``subst``), and it
+is compiled as one region, not stage by stage.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import ChainMap, Counter
 from dataclasses import dataclass, replace
 from itertools import count, repeat
 
 from .alphabet import Alphabet
-from .precube import PrecubeError, PrecubicalSet, glue, standard_cube
+from .precube import PrecubeError, PrecubicalSet, glue
 from .sync import tensor_sync
 
 
@@ -308,6 +306,12 @@ def parse(text: str, cfg: Alphabet) -> ProcessTerm:
 # semantics
 
 
+#: The most cells of one region, walked and placed; rec(x) (a.x + b.x) at unfold 16 has 262,141.
+MAX_REGION_CELLS = 300_000
+
+_VISIT, _PREFIXED, _LEFT_DONE, _DONE = range(4)  # the steps of a region walk
+
+
 class _Region:
     """Final ids for the cells of a region of nil, prefix, sum and
     restriction nodes, handed out per dimension in the order one walk
@@ -316,45 +320,77 @@ class _Region:
     sum walks its left summand, then its right one from the same initial
     vertex.  A restriction bans its label and that label's partner below
     it: a cell whose word meets the banned set gets no id, and ``glue``
-    drops it.  Any other subterm, or the current stage of an enclosing
-    recursion, is a whole set from ``semantics``, placed at the next ids
-    in its own order with its initial vertex where the walk puts it.  A
-    walked node's text goes on its initial vertex, over inner nodes'.
+    drops it.  Any other subterm is a whole set (from ``sets``, else
+    compiled and kept there), placed at the next ids in its own order with
+    its initial vertex where the walk puts it; the walked cells are one
+    more part.  A walked node's text goes on its initial vertex, over inner
+    nodes'.  Past ``MAX_REGION_CELLS`` cells, ``PrecubeError``.
     """
 
-    def __init__(self, cfg: Alphabet, unfold_depth: int, stages: tuple, texts: dict):
-        self.cfg, self.unfold_depth, self.stages, self.texts = cfg, unfold_depth, stages, texts
-        self.used, self.parts, self.decoration = Counter(), [], {}  # used: ids per dimension
+    def __init__(self, cfg: Alphabet, unfold_depth: int, sets: ChainMap, texts: dict):
+        self.cfg, self.unfold_depth, self.texts = cfg, unfold_depth, texts
+        self.sets = sets.new_child()  # with the sets this region compiles
+        self.used, self.room = Counter(), MAX_REGION_CELLS  # ids per dimension, cells left
+        self.parts, self.decoration, self.vertices, self.faces, self.words = [], {}, {}, {}, {}
 
-    def walk(self, t: ProcessTerm, init: int | None, banned: frozenset) -> int:
-        """Number the cells of ``t`` and return its initial vertex, ``init`` if given."""
-        if not isinstance(t, _WALKED) or any(t is known for known, _ in self.stages):
-            K = semantics(t, self.cfg, self.unfold_depth, stages=self.stages, texts=self.texts)
-            return self.place(K, init, banned)
-        if isinstance(t, (Nil, Prefix)) and init is None:
-            init = self.used[0]
-            self.used[0] += 1
-        if isinstance(t, Nil):
-            self.parts.append((standard_cube(()), {(0, 0): init}))
-        elif isinstance(t, Prefix):
-            self.cfg.check_label(t.label)
-            ids = {(0, 0): init}
-            if t.label not in banned:
-                ids[(1, 0)] = self.used[1]
-                self.used[1] += 1
-            ids[(0, 1)] = self.walk(t.body, None, banned)
-            self.parts.append((standard_cube((t.label,)), ids))
-        elif isinstance(t, Sum):
-            init = self.walk(t.left, init, banned)
-            self.walk(t.right, init, banned)
-        else:
-            self.cfg.check_label(t.label)
-            pair = {t.label, self.cfg.bar(t.label)} - {None}
-            init = self.walk(t.body, init, banned | pair)
-        self.decoration[init] = _term_text(t, _PAR, self.texts)
-        return init
+    def build(self, root: ProcessTerm) -> PrecubicalSet:
+        initial = self.walk(root)
+        vs, es = self.vertices, self.faces  # the walked rows; a vertex's are all ()
+        walked = PrecubicalSet({0: vs, 1: es}, {0: vs, 1: es}, {0: vs, 1: dict.fromkeys(es, ())},
+                               {0: vs, 1: self.words})
+        ids = {**{(0, v): v for v in vs}, **{(1, e): e for e in es}}
+        out = glue([(walked, ids), *self.parts], initial)
+        out.decoration.update(self.decoration)  # glue made this dict
+        return out
 
-    def place(self, K: PrecubicalSet, init: int | None, banned: frozenset) -> int:
+    def take(self, n: int, k: int) -> int:
+        first, self.used[n], self.room = self.used[n], self.used[n] + k, self.room - k
+        if self.room < 0:
+            raise PrecubeError(f"region too large: over {MAX_REGION_CELLS} cells")
+        return first
+
+    def walk(self, root: ProcessTerm) -> int:
+        """Number the cells of ``root``; return its initial vertex.  A prefix's edge
+        waits for its body's initial vertex, and a sum's right summand for its left's."""
+        cfg, texts, take = self.cfg, self.texts, self.take
+        vertices, faces, words, decoration = self.vertices, self.faces, self.words, self.decoration
+        todo = [(_VISIT, root, None, frozenset())]  # (step, term, init, banned or edge)
+        got = None  # the initial vertex of the subterm walked last
+        while todo:
+            step, t, init, extra = todo.pop()
+            if step == _VISIT:
+                kind = type(t)
+                if kind is Prefix or kind is Nil:
+                    if init is None:
+                        init = take(0, 1)
+                    vertices[init] = ()
+                if kind is Prefix:
+                    cfg.check_label(t.label)
+                    edge = None if t.label in extra else take(1, 1)
+                    todo += [(_PREFIXED, t, init, edge), (_VISIT, t.body, None, extra)]
+                elif kind is Sum:
+                    todo += [(_LEFT_DONE, t, None, extra), (_VISIT, t.left, init, extra)]
+                elif kind is Nil:
+                    got, decoration[init] = init, "nil"
+                elif kind is Restrict:
+                    cfg.check_label(t.label)
+                    pair = {t.label, cfg.bar(t.label)} - {None}
+                    todo += [(_DONE, t, None, None), (_VISIT, t.body, init, extra | pair)]
+                else:
+                    got = self.place(t, init, extra)
+            elif step == _LEFT_DONE:
+                todo += [(_DONE, t, None, None), (_VISIT, t.right, got, extra)]
+            else:
+                if step == _PREFIXED:
+                    if extra is not None:  # its body's initial vertex may be a placed set's
+                        faces[extra], words[extra], vertices[got] = (init, got), (t.label,), ()
+                    got = init
+                decoration[got] = _term_text(t, _PAR, texts)
+        return got
+
+    def place(self, t: ProcessTerm, init: int | None, banned: frozenset) -> int:
+        K = semantics(t, self.cfg, self.unfold_depth, sets=self.sets, texts=self.texts)
+        self.sets.setdefault(id(t), (t, K))
         ids = {}
         for n in K.dims():
             cells = K.ncells(n)
@@ -363,68 +399,73 @@ class _Region:
             elif not n and init is not None:
                 ids[(0, K.initial)] = init
                 cells = [c for c in cells if c != K.initial]
-            ids.update(zip(zip(repeat(n), cells), count(self.used[n])))
-            self.used[n] += len(cells)
+            ids.update(zip(zip(repeat(n), cells), count(self.take(n, len(cells)))))
         self.parts.append((K, ids))
         return ids[(0, K.initial)]
 
 
-def semantics(
-    term: ProcessTerm,
-    cfg: Alphabet,
-    unfold_depth: int = 8,
-    *,
-    stages: tuple = (),
-    texts: dict | None = None,
-) -> PrecubicalSet:
+def _open_nodes(body: ProcessTerm, stage: ProcessTerm) -> tuple[list, bool]:
+    """The products and recursions of ``stage = subst(body, x, prev)`` with ``prev`` inside
+    that walked nodes reach from the root, and whether they reach ``prev``."""
+    found, reached, todo = [], False, [(body, stage)]
+    while todo:
+        b, s = todo.pop()
+        if b is s:
+            continue
+        if isinstance(b, Var):
+            reached = True
+        elif isinstance(b, Sum):
+            todo += [(b.left, s.left), (b.right, s.right)]
+        elif isinstance(b, (Prefix, Restrict)):
+            todo.append((b.body, s.body))
+        else:
+            found.append(s)
+    return found, reached
+
+
+def semantics(term: ProcessTerm, cfg: Alphabet, unfold_depth: int = 8, *,
+              sets: ChainMap | None = None, texts: dict | None = None) -> PrecubicalSet:
     """The decorated precubical set of a closed process term.
 
     ``rec(x) P`` is the semantics of ``P`` when ``x`` is not free in
-    ``P``; otherwise it is the ``unfold_depth``-th stage of its unfolding
+    ``P``; otherwise it is that of its ``unfold_depth``-th stage
     (``nil``, then ``P`` with ``x`` replaced by the previous stage) with
-    its ``truncated`` flag set.  Each stage is built from the previous
-    one: ``stages`` holds the (term, set) pair of the current stage of
-    every enclosing recursion, and a subterm that *is* one of those
-    terms (identity, not hashing) is not compiled again.  Only this
-    module passes ``stages``; the result does not depend on it, since
-    the semantics of a closed term is a function of the term.
+    its ``truncated`` flag set; one region walk numbers that stage, the
+    earlier ones included.  A product or recursion that holds a stage is
+    compiled at the stage that creates it and kept in ``sets`` (by ``id``,
+    with its term) while walked nodes reach it from the current stage.
     ``texts`` keeps the ``term_str`` of every subterm of one compile, by
-    identity, so each decoration is built once from its children's.
+    ``id``; only this module passes ``sets`` and ``texts``.
     """
     if unfold_depth < 0:
         raise ValueError("unfold depth must be non-negative")
-    if texts is None:
-        texts = {}
-    for known, K in stages:
-        if term is known:
-            return K
+    sets, texts = ChainMap() if sets is None else sets, {} if texts is None else texts
+    known = sets.get(id(term))
+    if known is not None:
+        return known[1]
     if isinstance(term, Par):
-        left = semantics(term.left, cfg, unfold_depth, stages=stages, texts=texts)
-        right = semantics(term.right, cfg, unfold_depth, stages=stages, texts=texts)
+        left = semantics(term.left, cfg, unfold_depth, sets=sets, texts=texts)
+        right = semantics(term.right, cfg, unfold_depth, sets=sets, texts=texts)
         return tensor_sync(left, right, cfg)
     if isinstance(term, _WALKED):
-        region = _Region(cfg, unfold_depth, stages, texts)
-        initial = region.walk(term, None, frozenset())
-        out = glue(region.parts, initial)
-        out.decoration.update(region.decoration)  # glue made this dict
-        return out
+        return _Region(cfg, unfold_depth, sets, texts).build(term)
     if isinstance(term, Var):
         raise PrecubeError("cannot interpret an open term")
     if not isinstance(term, Rec):
         raise TypeError(f"not a process term: {term!r}")
-    stage_term: ProcessTerm = Nil()
-    stage = semantics(stage_term, cfg, unfold_depth, stages=stages, texts=texts)
+    sets, stage, truncated = sets.new_child(), Nil(), True  # this recursion's own sets
     for _ in range(unfold_depth):
-        next_term = subst(term.body, term.var, stage_term)
-        known = stages + ((stage_term, stage),)
-        stage = semantics(next_term, cfg, unfold_depth, stages=known, texts=texts)
+        next_term = subst(term.body, term.var, stage)
         if next_term is term.body:  # no free var: the body is its own fixpoint
+            stage, truncated = next_term, False
             break
-        stage_term = next_term
-    else:
-        stage = replace(stage, truncated=True)
-    decoration = {**stage.decoration, stage.initial: _term_text(term, _PAR, texts)}
-    return replace(stage, decoration=decoration)
+        found, reached = _open_nodes(term.body, next_term)
+        made = {id(t): (t, semantics(t, cfg, unfold_depth, sets=sets, texts=texts)) for t in found}
+        sets.maps[0] = {**sets.maps[0], **made} if reached else made
+        stage = next_term
+    K = semantics(stage, cfg, unfold_depth, sets=sets, texts=texts)
+    decoration = {**K.decoration, K.initial: _term_text(term, _PAR, texts)}
+    return replace(K, decoration=decoration, truncated=K.truncated or truncated)
 
 
 def compile_text(text: str, cfg: Alphabet, unfold_depth: int = 8) -> PrecubicalSet:

@@ -2,8 +2,8 @@
 
 Commands: check, realize, cubify, export, ccs compile, fixtures.
 Exit codes: 0 success / all axioms pass, 1 axiom failure, 2 input
-error (a term that nests too deeply or whose parallel product is too
-large to compile, an input file that is not UTF-8 text and an output
+error (a term that nests too deeply, or whose product or region is too
+large, to compile, an input file that is not UTF-8 text and an output
 that cannot be written included), 3 internal error.  All output is
 deterministic: identical inputs give byte-identical bytes.
 """

@@ -143,18 +143,16 @@ def proper_submultisets(acts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((s for s in subs if 0 < len(s) < len(acts)), key=lambda t: (len(t), t)))
 
 
-_Decompositions = namedtuple("_Decompositions", "splits rest masks")
+_Decompositions = namedtuple("_Decompositions", "splits rest")
 
 
 @lru_cache(maxsize=None)
 def _decompositions(acts: tuple[int, ...]) -> _Decompositions:
     """The decomposition table of the multiset ``acts``, built on first
-    use: its splits (part, rest) with parts smallest first, the same as a
-    dict, and the part at each position mask 1 .. 2**n - 2 of ``acts``.
-    The scans read a part's own table only where it has intermediate states."""
+    use: its splits (part, rest) with parts smallest first, and the same as
+    a dict.  The scans read a part's own table only where it has intermediate states."""
     splits = tuple((part, multiset_diff(acts, part)) for part in proper_submultisets(acts))
-    masks = (tuple(x for p, x in enumerate(acts) if m >> p & 1) for m in range(1, (1 << len(acts)) - 1))
-    return _Decompositions(splits, dict(splits), tuple(masks))
+    return _Decompositions(splits, dict(splits))
 
 
 class _Index:

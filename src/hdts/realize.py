@@ -27,7 +27,6 @@ from .core import (
     Transition,
     WeakHDTS,
     _Index,
-    _decompositions,
     check_morphism,
     coherence_closure,
     cube,
@@ -214,6 +213,13 @@ def _inner_masks(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
                  for perm in itertools.permutations(range(n)))
 
 
+@lru_cache(maxsize=None)
+def _mask_parts(acts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The part of ``acts`` at each position mask 1 .. 2**n - 2."""
+    masks = range(1, (1 << len(acts)) - 1)
+    return tuple(tuple(x for p, x in enumerate(acts) if m >> p & 1) for m in masks)
+
+
 def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple]:
     """All morphisms from n-cubes into ``X`` as sorted tables (label word,
     state of each vertex in ``cube_vertices(n)`` order, action of each direction).
@@ -223,8 +229,8 @@ def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple]:
     per inner vertex; only transitions leaving the bottom corner or
     entering the top corner constrain the choice, which suffices for
     coherence-closed systems.  Intermediates are read off the split table
-    per position mask of the multiset; an ordering reads them by
-    ``_inner_masks``."""
+    per position mask of the multiset (``_mask_parts``); an ordering reads
+    them by ``_inner_masks``."""
     if n == 0:
         return [((), (s,), ()) for s in sorted(X.states)]
     idx = _Index(X.transitions)
@@ -233,7 +239,7 @@ def cube_maps_into(n: int, X: WeakHDTS) -> list[tuple]:
     for t in X.transitions:
         if t.arity != n:
             continue
-        between = [None, *map(idx.splits(t.src, t.acts, t.tgt).__getitem__, _decompositions(t.acts).masks)]
+        between = [None, *map(idx.splits(t.src, t.acts, t.tgt).__getitem__, _mask_parts(t.acts))]
         orderings = {tuple(map(t.acts.__getitem__, perm)): masks for perm, masks in _inner_masks(n)}
         for ordering, masks in orderings.items():
             word = tuple(map(labels.__getitem__, ordering))

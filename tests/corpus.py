@@ -1043,6 +1043,37 @@ def random_rec_term(seed: int) -> str:
     return f"rec(x) {term(rng.randint(3, 6), frozenset('x'), frozenset())}"
 
 
+def random_open_par_rec_term(seed: int) -> str:
+    """``rec(x)`` over a sum whose arms put x under a parallel composition,
+    under a nested recursion (whose own variable is used on some seeds)
+    and, on some seeds, straight under a prefix, beside a closed product;
+    the arms come in random order, each maybe under a restriction.  Each
+    stage holds at most a few copies of the one before, so that three
+    unfoldings stay small."""
+    rng = random.Random(seed)
+    letters = ("a", "abar", "b", "c", "tau")
+
+    def pre(body):
+        return f"{rng.choice(letters)}.{body}"
+
+    uses_y = rng.random() < 0.1  # three copies of x in the nested recursion
+    with_edge = not uses_y and rng.random() < 0.3  # x beside an edge, else beside nil
+    beside = pre("nil") if with_edge else "nil"
+    under_par = rng.choice([f"{pre('')}(x || {beside})", f"({pre('x')} || {beside})",
+                            f"({beside} || {pre(pre('x'))})"])
+    if uses_y:
+        nested = f"rec(y) ({pre('y')} + {pre('x')})"
+    else:
+        inner = pre("x") if rng.random() < 0.5 else f"({pre('x')} || nil)"
+        nested = f"rec(y) {pre(inner)}"
+    arms = [under_par, pre(nested), f"({pre('nil')} || {pre('nil')})"]
+    if not (with_edge or uses_y) and rng.random() < 0.5:
+        arms.append(pre(pre("x")))
+    rng.shuffle(arms)
+    arms = [f"(nu {rng.choice('ab')}) {arm}" if rng.random() < 0.3 else arm for arm in arms]
+    return "rec(x) (" + " + ".join(arms) + ")"
+
+
 class _GrammarParser(_Parser):
     """The process-term grammar alone: a variable parses whether it is
     bound and guarded or not."""

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+from collections import ChainMap, Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from corpus import (
     RANDOM_SYNC_TERMS,
     checked_graft_prefix,
     colimit_wedge,
+    random_open_par_rec_term,
     random_precube_wedge,
     random_rec_term,
     scratch_semantics,
@@ -31,7 +33,7 @@ from hdts import (
 from hdts import ccs
 from hdts.alphabet import make_alphabet
 from hdts.ccs import CcsSyntaxError, Nil, Par, Prefix, Rec, Restrict, Sum, Var, subst
-from hdts.precube import glue
+from hdts.precube import boundary, glue
 from hdts.serialize import dumps, precube_to_json
 
 
@@ -269,7 +271,7 @@ def test_par_associates_up_to_realization_iso():
 
 
 # ---------------------------------------------------------------------------
-# recursion stages: built from the previous stage, checked against a
+# recursion: the last stage compiled as one region, checked against a
 # compile of every stage from scratch
 
 
@@ -310,6 +312,37 @@ def test_stage_reuse_matches_scratch_compile_on_random_terms(seed):
     assert K.truncated == scratch.truncated
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_unfoldings_through_products_and_nested_recursions_match_scratch_compile(
+    seed, monkeypatch
+):
+    # the sets of products and recursions that hold a stage, kept while
+    # walked nodes still reach them, against every stage compiled from
+    # scratch; and no product made by unfolding is built twice
+    term = parse(random_open_par_rec_term(seed), ALPHA)
+    parsed, todo = set(), [term]
+    while todo:
+        t = todo.pop()
+        parsed.add(id(t))
+        todo += [getattr(t, name) for name in ("body", "left", "right") if hasattr(t, name)]
+    built, held = Counter(), []  # held keeps each product alive, so no id is reused
+    original = ccs.semantics
+
+    def counting(t, *args, sets=None, **kwargs):
+        if isinstance(t, Par) and id(t) not in parsed and (sets is None or id(t) not in sets):
+            built[id(t)] += 1
+            held.append(t)
+        return original(t, *args, sets=sets, **kwargs)
+
+    monkeypatch.setattr(ccs, "semantics", counting)
+    K = semantics(term, ALPHA, 3)
+    monkeypatch.undo()
+    scratch = scratch_semantics(term, ALPHA, 3)
+    assert _json(K) == _json(scratch)
+    assert K.truncated == scratch.truncated
+    assert built and max(built.values()) == 1
+
+
 _CHAIN_LABELS = ("a", "b", "abar", "c", "tau", "bbar")
 
 #: wide and deep regions of nil, prefix, sum and restriction nodes, and
@@ -347,22 +380,22 @@ def test_a_restricted_prefix_loses_its_edge_and_keeps_its_vertices():
 
 
 def test_placed_sets_keep_an_initial_vertex_that_is_not_the_first():
-    # a stage with its vertices numbered backwards, placed under a prefix
-    # and on either side of a sum
-    text = "b.c.nil + c.nil"
+    # a product with its vertices numbered backwards, placed from the
+    # sets a region reads under a prefix and on either side of a sum
+    text = "b.c.nil || c.nil"
     built = compile_text(text, ALPHA)
     last = len(built.vertices) - 1
     ids = {(n, c): last - c if n == 0 else c for n in built.dims() for c in built.ncells(n)}
-    stage = glue([(built, ids)], initial=last - built.initial)
-    assert stage.initial != 0
+    placed = glue([(built, ids)], initial=last - built.initial)
+    assert placed.initial != 0
     S = parse(text, ALPHA)
     a_nil = semantics(parse("a.nil", ALPHA), ALPHA)
     for term, expected in [
-        (Prefix("a", S), lambda t: checked_graft_prefix("a", stage, t)),
-        (Sum(Prefix("a", Nil()), S), lambda t: colimit_wedge(a_nil, stage, t)),
-        (Sum(S, Prefix("a", Nil())), lambda t: colimit_wedge(stage, a_nil, t)),
+        (Prefix("a", S), lambda t: checked_graft_prefix("a", placed, t)),
+        (Sum(Prefix("a", Nil()), S), lambda t: colimit_wedge(a_nil, placed, t)),
+        (Sum(S, Prefix("a", Nil())), lambda t: colimit_wedge(placed, a_nil, t)),
     ]:
-        K = semantics(term, ALPHA, stages=((S, stage),))
+        K = semantics(term, ALPHA, sets=ChainMap({id(S): (S, placed)}))
         assert _json(K) == _json(expected(term_str(term))), term_str(term)
 
 
@@ -375,15 +408,25 @@ def test_a_region_is_glued_once(monkeypatch):
     assert cell_counts(K) == [8, 6]
 
 
-def test_each_stage_is_compiled_once(monkeypatch):
-    # the stage-i term of rec(x) (a.x + b.x) holds 2^i - 1 sums; each
-    # stage is one region glued once, the nil stage and then 7 more
+def test_an_unfolding_is_glued_once(monkeypatch):
+    # the last stage of rec(x) (a.x + b.x) holds the earlier ones, and one
+    # walk numbers it: no stage is a set of its own, and no cube is built
     glues = []
     original = ccs.glue
     monkeypatch.setattr(ccs, "glue", lambda *a, **k: glues.append(1) or original(*a, **k))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("standard_cube was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hdts" and hasattr(module, "standard_cube"):
+            monkeypatch.setattr(module, "standard_cube", refuse)
+    with pytest.raises(AssertionError, match="was called"):
+        boundary("ab")  # the patch is seen by callers
     K = compile_text("rec(x) (a.x + b.x)", ALPHA, unfold_depth=7)
     assert K.truncated
-    assert len(glues) == 8
+    assert len(glues) == 1
+    assert cell_counts(K) == [2**8 - 1, 2**8 - 2]
 
 
 # ---------------------------------------------------------------------------

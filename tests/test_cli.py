@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver."""
 
+import hashlib
 import json
 import os
 import resource
@@ -12,6 +13,7 @@ import pytest
 import hdts
 from corpus import ALPHA, random_failing_hdts
 from hdts import cube, iso_check
+from hdts.ccs import MAX_REGION_CELLS
 from hdts.cli import main
 from hdts.fixtures import build_fixture
 from hdts.serialize import alphabet_to_json, dumps, hdts_from_json, hdts_to_json
@@ -600,13 +602,14 @@ def test_ccs_compile_too_deep_is_an_input_error(alphabet_file, term, extra):
     assert err == "error: the term nests too deeply to compile\n"
 
 
-def _run_bounded(*args):
+def _run_bounded(*args, megabytes=512, seconds=10):
     """Exit code, stdout and stderr of this interpreter run on ``args`` in
-    its own process, with 512 MB of address space and 10 s of CPU time."""
+    its own process, within ``megabytes`` of address space and ``seconds``
+    of CPU time."""
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-        resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+        resource.setrlimit(resource.RLIMIT_CPU, (seconds, seconds))
 
     src = str(Path(hdts.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -632,6 +635,37 @@ def test_check_one_16_ary_transition_within_bounds(tmp_path):
     closure = ("from hdts import coherence_closure, transition; "
                "T = frozenset({transition(0, range(1, 17), 1)}); print(coherence_closure(T) == T)")
     assert _run_bounded("-c", closure) == (0, "True\n", "")
+
+
+@pytest.mark.parametrize(
+    "term,digest",
+    [
+        ("rec(x) a.(x || nil)", "a2bada5dee555c1d8a08efcf8934985e8a733d3e6dbe919a127c3e9cb1c68aae"),
+        ("rec(x) (a.x || nil)", "840e50e7f47601ef3dd5d6e616b1a12623fb42cb16c4394f2b5a485c46d1e5a3"),
+    ],
+    ids=["prefix-over-product", "product-over-prefix"],
+)
+def test_ccs_compile_recursion_through_a_product_within_bounds(alphabet_file, term, digest):
+    # every stage is an operand of a product, so each stage's set is built;
+    # a set is kept only while the current stage can still reach it, and
+    # neither memory nor the stack grows with the unfolding beyond the output
+    argv = ("-m", "hdts.cli", "ccs", "compile", term, "--alphabet", alphabet_file, "--unfold", "500")
+    code, out, err = _run_bounded(*argv, megabytes=256, seconds=20)
+    assert (code, err) == (0, "warning: recursion truncated at the unfold bound\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_ccs_compile_region_over_the_cell_budget_is_an_input_error(alphabet_file):
+    # the unfolding asks for about 2^41 cells; the walk stops at the budget,
+    # within a second of CPU time (waiting for a busy machine not counted)
+    argv = ("-m", "hdts.cli", "ccs", "compile", "rec(x) (a.x + b.x)", "--alphabet", alphabet_file,
+            "--unfold", "40")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    code, out, err = _run_bounded(*argv, megabytes=512, seconds=10)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: region too large: over {MAX_REGION_CELLS} cells\n"
 
 
 def test_outputs_are_deterministic(fixture_file, capsys):

@@ -44,7 +44,7 @@ from hdts import (
 )
 from hdts import core
 from hdts.core import uisa_holds
-from hdts.realize import cube_maps_into
+from hdts.realize import _mask_parts, cube_maps_into
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +385,21 @@ def test_axiom_checks_build_one_table_without_intermediate_states():
     core._decompositions.cache_clear()
     assert coherence_closure(X.transitions) == X.transitions
     assert core._decompositions.cache_info().currsize == 1
+
+
+def test_axiom_checks_build_no_mask_parts():
+    # the part at each position mask is read by the cube maps alone
+    X = WeakHDTS(
+        frozenset({0, 1}),
+        tuple(Action(i, "a") for i in range(1, 9)),
+        frozenset({transition(0, range(1, 9), 1)}),
+    )
+    _mask_parts.cache_clear()
+    validate(X)
+    assert coherence_closure(X.transitions) == X.transitions
+    assert _mask_parts.cache_info().currsize == 0
+    assert len(cube_maps_into(2, cube("ab"))) == 2
+    assert _mask_parts.cache_info().currsize == 1
 
 
 def test_csa_equivalence_on_corpus():
