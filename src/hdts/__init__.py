@@ -27,8 +27,6 @@ from .core import (
     cube,
     cube_ext,
     cube_inclusion,
-    cube_state_bits,
-    cube_state_id,
     disjoint_union,
     hom_enumerate,
     identity_morphism,
@@ -44,6 +42,8 @@ from .encoding import (
     NotCubeMapError,
     all_encodings,
     compose,
+    cube_state_bits,
+    cube_state_id,
     face_encoding,
     identity_encoding,
     sym_encoding,

@@ -14,16 +14,16 @@ initial vertex: a prefix puts one edge in front of its body, a sum joins
 its summands at their initial vertices, restriction keeps the cells
 whose label word avoids the restricted pair, and parallel composition is
 the synchronized tensor product.  One iterative walk numbers the cells
-of a region of nil, prefix, sum and restriction nodes, writing its
-vertex and edge rows itself, and one ``precube.glue`` call builds it;
-the initial vertex of every result but a parallel composition is
-decorated with its term.  ``rec(x) P`` is read off the term: if ``x``
-is not free in ``P`` the body is its own fixpoint, and otherwise the
-term is unfolded to a depth bound and the result flagged truncated (no
-stage of a guarded unfolding can equal the one before: each holds the
-previous one under a prefix, and no operator loses vertices).  The last
-stage is one term that shares every earlier stage (``subst``), and it
-is compiled as one region, not stage by stage.
+of a region of nil, prefix, sum and restriction nodes, writes its vertex
+and edge rows itself and copies any other subterm's set in with
+``precube.write_rows``; the initial vertex of every result but a
+parallel composition is decorated with its term.  ``rec(x) P`` is read
+off the term: if ``x`` is not free in ``P`` the body is its own
+fixpoint, and otherwise the term is unfolded to a depth bound and the
+result flagged truncated (no stage of a guarded unfolding can equal the
+one before: each holds the previous one under a prefix, and no operator
+loses vertices).  The last stage is one term that shares every earlier
+stage (``subst``), and it is compiled as one region, not stage by stage.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from __future__ import annotations
 import re
 from collections import ChainMap, Counter
 from dataclasses import dataclass, replace
-from itertools import count, repeat
+from itertools import count
 
 from .alphabet import Alphabet
-from .precube import PrecubeError, PrecubicalSet, glue
+from .precube import PrecubeError, PrecubicalSet, write_rows
 from .sync import tensor_sync
 
 
@@ -315,33 +315,32 @@ _VISIT, _PREFIXED, _LEFT_DONE, _DONE = range(4)  # the steps of a region walk
 class _Region:
     """Final ids for the cells of a region of nil, prefix, sum and
     restriction nodes, handed out per dimension in the order one walk
-    meets them, and the parts to glue them from.  Only a nil and a prefix
-    make a vertex, a prefix's vertex and edge before its body's cells.  A
-    sum walks its left summand, then its right one from the same initial
-    vertex.  A restriction bans its label and that label's partner below
-    it: a cell whose word meets the banned set gets no id, and ``glue``
-    drops it.  Any other subterm is a whole set (from ``sets``, else
-    compiled and kept there), placed at the next ids in its own order with
-    its initial vertex where the walk puts it; the walked cells are one
-    more part.  A walked node's text goes on its initial vertex, over inner
-    nodes'.  Past ``MAX_REGION_CELLS`` cells, ``PrecubeError``.
+    meets them, and the tables of the set they make.  Only a nil and a
+    prefix make a vertex, a prefix's vertex and edge before its body's
+    cells, and the walk writes their rows.  A sum walks its left summand,
+    then its right one from the same initial vertex.  A restriction bans
+    its label and that label's partner below it: a cell whose word meets
+    the banned set gets no id.  Any other subterm is a whole set (from
+    ``sets``, else compiled and kept there), placed at the next ids in its
+    own order with its initial vertex where the walk puts it, and
+    ``write_rows`` copies its rows.  A walked node's text goes on its
+    initial vertex, over inner nodes' and placed sets'.  Past
+    ``MAX_REGION_CELLS`` cells, ``PrecubeError``.
     """
 
     def __init__(self, cfg: Alphabet, unfold_depth: int, sets: ChainMap, texts: dict):
         self.cfg, self.unfold_depth, self.texts = cfg, unfold_depth, texts
         self.sets = sets.new_child()  # with the sets this region compiles
         self.used, self.room = Counter(), MAX_REGION_CELLS  # ids per dimension, cells left
-        self.parts, self.decoration, self.vertices, self.faces, self.words = [], {}, {}, {}, {}
+        vs = {}  # a vertex's three rows are (), so its three tables are one dict
+        self.faces, self.syms, self.labels = {0: vs, 1: {}}, {0: vs, 1: {}}, {0: vs, 1: {}}
+        self.decoration, self.truncated = {}, False
 
     def build(self, root: ProcessTerm) -> PrecubicalSet:
         initial = self.walk(root)
-        vs, es = self.vertices, self.faces  # the walked rows; a vertex's are all ()
-        walked = PrecubicalSet({0: vs, 1: es}, {0: vs, 1: es}, {0: vs, 1: dict.fromkeys(es, ())},
-                               {0: vs, 1: self.words})
-        ids = {**{(0, v): v for v in vs}, **{(1, e): e for e in es}}
-        out = glue([(walked, ids), *self.parts], initial)
-        out.decoration.update(self.decoration)  # glue made this dict
-        return out
+        faces, syms, labels = ({n: rows for n, rows in table.items() if rows}
+                               for table in (self.faces, self.syms, self.labels))
+        return PrecubicalSet(faces, faces, syms, labels, self.decoration, initial, self.truncated)
 
     def take(self, n: int, k: int) -> int:
         first, self.used[n], self.room = self.used[n], self.used[n] + k, self.room - k
@@ -352,17 +351,16 @@ class _Region:
     def walk(self, root: ProcessTerm) -> int:
         """Number the cells of ``root``; return its initial vertex.  A prefix's edge
         waits for its body's initial vertex, and a sum's right summand for its left's."""
-        cfg, texts, take = self.cfg, self.texts, self.take
-        vertices, faces, words, decoration = self.vertices, self.faces, self.words, self.decoration
+        cfg, texts, take, decoration = self.cfg, self.texts, self.take, self.decoration
+        vertices, faces, syms, words = self.faces[0], self.faces[1], self.syms[1], self.labels[1]
         todo = [(_VISIT, root, None, frozenset())]  # (step, term, init, banned or edge)
         got = None  # the initial vertex of the subterm walked last
         while todo:
             step, t, init, extra = todo.pop()
             if step == _VISIT:
                 kind = type(t)
-                if kind is Prefix or kind is Nil:
-                    if init is None:
-                        init = take(0, 1)
+                if (kind is Prefix or kind is Nil) and init is None:
+                    init = take(0, 1)
                     vertices[init] = ()
                 if kind is Prefix:
                     cfg.check_label(t.label)
@@ -382,8 +380,8 @@ class _Region:
                 todo += [(_DONE, t, None, None), (_VISIT, t.right, got, extra)]
             else:
                 if step == _PREFIXED:
-                    if extra is not None:  # its body's initial vertex may be a placed set's
-                        faces[extra], words[extra], vertices[got] = (init, got), (t.label,), ()
+                    if extra is not None:
+                        faces[extra], syms[extra], words[extra] = (init, got), (), (t.label,)
                     got = init
                 decoration[got] = _term_text(t, _PAR, texts)
         return got
@@ -397,11 +395,14 @@ class _Region:
             if n and banned:
                 cells = [c for c in cells if banned.isdisjoint(K.labels[n][c])]
             elif not n and init is not None:
-                ids[(0, K.initial)] = init
+                ids[0] = {K.initial: init}
                 cells = [c for c in cells if c != K.initial]
-            ids.update(zip(zip(repeat(n), cells), count(self.take(n, len(cells)))))
-        self.parts.append((K, ids))
-        return ids[(0, K.initial)]
+            ids.setdefault(n, {}).update(zip(cells, count(self.take(n, len(cells)))))
+        write_rows(K, ids, self.faces, self.syms, self.labels)
+        for v, name in K.decoration.items():
+            self.decoration.setdefault(ids[0][v], name)
+        self.truncated = self.truncated or K.truncated
+        return ids[0][K.initial]
 
 
 def _open_nodes(body: ProcessTerm, stage: ProcessTerm) -> tuple[list, bool]:
@@ -431,9 +432,12 @@ def semantics(term: ProcessTerm, cfg: Alphabet, unfold_depth: int = 8, *,
     ``P``; otherwise it is that of its ``unfold_depth``-th stage
     (``nil``, then ``P`` with ``x`` replaced by the previous stage) with
     its ``truncated`` flag set; one region walk numbers that stage, the
-    earlier ones included.  A product or recursion that holds a stage is
-    compiled at the stage that creates it and kept in ``sets`` (by ``id``,
-    with its term) while walked nodes reach it from the current stage.
+    earlier ones included.  That stage has more than ``unfold_depth``
+    vertices, so from ``MAX_REGION_CELLS`` stages on, ``PrecubeError`` is
+    raised before the second substitution.  A product or recursion that
+    holds a stage is compiled at the stage that creates it and kept in
+    ``sets`` (by ``id``, with its term) while walked nodes reach it from
+    the current stage.
     ``texts`` keeps the ``term_str`` of every subterm of one compile, by
     ``id``; only this module passes ``sets`` and ``texts``.
     """
@@ -459,6 +463,9 @@ def semantics(term: ProcessTerm, cfg: Alphabet, unfold_depth: int = 8, *,
         if next_term is term.body:  # no free var: the body is its own fixpoint
             stage, truncated = next_term, False
             break
+        if unfold_depth >= MAX_REGION_CELLS:  # each stage has more vertices than the last
+            raise PrecubeError(f"unfolding too deep: {unfold_depth} stages, over "
+                               f"{MAX_REGION_CELLS} cells")
         found, reached = _open_nodes(term.body, next_term)
         made = {id(t): (t, semantics(t, cfg, unfold_depth, sets=sets, texts=texts)) for t in found}
         sets.maps[0] = {**sets.maps[0], **made} if reached else made

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .encoding import cube_state_bits, cube_state_id, cube_vertices  # noqa: F401
+from .encoding import cube_state_id, cube_vertices
 from .search import backtrack
 from .unionfind import UnionFind
 

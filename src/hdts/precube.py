@@ -13,11 +13,11 @@ Input that arrives keyed, one entry per face and per swap, enters
 through ``make_precube``, which builds the rows and checks them.  Every
 construction writes rows directly and does not recheck: cubes are
 tables of the cube category, and every construction that copies cells
-from other sets goes through ``glue``, which renumbers rows by explicit
-id maps and checks each merge (colimits and quotients number the
-classes of a union-find, and the process-term compiler numbers the
-cells of a region of nil, prefix, sum and restriction nodes in one
-walk and glues the region once).  Renaming preserves the relations.
+from other sets goes through ``write_rows``, which writes rows under
+explicit id maps and checks each merge: ``glue`` (colimits and
+quotients number the classes of a union-find), the slices of the
+tensor product, and the sets placed in a region the process-term
+compiler walks.  Renaming preserves the relations.
 """
 
 from __future__ import annotations
@@ -121,11 +121,15 @@ def make_precube(cells, faces, syms, labels, decoration=None, initial=None,
 
 
 def check_relations(K: PrecubicalSet) -> None:
-    """Verify the rows, the shape relations and label compatibility, cellwise."""
+    """Verify the tables' keys, then the rows, the shape relations and label
+    compatibility, cellwise."""
     dims = K.dims()
     for n in dims:
         if n > 0 and (n - 1) not in K.cells:
             raise PrecubeError(f"dimension {n} is populated but {n - 1} is empty")
+    for name, table in (("face", K.faces), ("swap", K.syms), ("label", K.labels)):
+        if sorted(table) != dims:
+            raise PrecubeError(f"the {name} table has dimensions {sorted(table)}, not {dims}")
     if K.initial is not None and K.initial not in K.vertices:
         raise PrecubeError("initial vertex does not exist")
     for v in K.decoration:
@@ -134,7 +138,7 @@ def check_relations(K: PrecubicalSet) -> None:
     for n in dims:
         lower = set(K.ncells(n - 1))
         here = set(K.ncells(n))
-        words, frows, srows = K.labels.get(n, {}), K.faces.get(n, {}), K.syms.get(n, {})
+        words, frows, srows = K.labels[n], K.faces[n], K.syms[n]
         for c in K.ncells(n):
             word, row, srow = words.get(c), frows.get(c), srows.get(c)
             if word is None or len(word) != n:
@@ -238,9 +242,10 @@ def standard_cube(word: Sequence[str]) -> PrecubicalSet:
 
 
 def truncate(K: PrecubicalSet, n: int) -> PrecubicalSet:
-    """Drop every cell above dimension ``n``; ids are preserved."""
+    """Drop every cell above dimension ``n``; ids are preserved, and the
+    initial vertex is kept if it survives."""
     ids = {(d, c): c for d in K.dims() if d <= n for c in K.ncells(d)}
-    return glue([(K, ids)], K.initial)
+    return glue([(K, ids)], K.initial if (0, K.initial) in ids else None)
 
 
 def boundary(word: Sequence[str]) -> PrecubicalSet:
@@ -308,51 +313,52 @@ def compose_precube_maps(f: PrecubeMap, g: PrecubeMap) -> PrecubeMap:
 # gluing, colimits and quotients
 
 
+def write_rows(K: PrecubicalSet, ids, faces, syms, labels) -> None:
+    """Write K's rows into the tables ``faces``, ``syms`` and ``labels``
+    (dim -> id -> row) under new ids: ``ids[n]`` maps K's n-cells to their
+    ids, and a cell without one is dropped (the faces and swaps of a kept
+    cell must keep theirs).  A cell sent to an id that has rows already is
+    merged and must agree on labels, faces and swaps."""
+    for n, here in ids.items():
+        lower, same = ids.get(n - 1, {}).__getitem__, here.__getitem__
+        frows, srows, words = K.faces[n], K.syms[n], K.labels[n]
+        out_f, out_s, out_w = (table.setdefault(n, {}) for table in (faces, syms, labels))
+        for c, k in here.items():
+            word, frow, srow = words[c], frows[c], srows[c]
+            if frow:
+                frow = tuple(map(lower, frow))
+            if srow:
+                srow = tuple(map(same, srow))
+            if k not in out_w:
+                out_w[k], out_f[k], out_s[k] = word, frow, srow
+            elif out_w[k] != word:
+                raise PrecubeError("merged cells disagree on labels")
+            elif out_f[k] != frow:
+                raise PrecubeError("merged cells disagree on faces")
+            elif out_s[k] != srow:
+                raise PrecubeError("merged cells disagree on swaps")
+
+
 def glue(parts, initial=None) -> PrecubicalSet:
     """One set made of the cells of ``parts``, under new ids.
 
     Each part is a pair ``(K, ids)``: ``ids`` maps ``(n, c)`` to the id of
-    K's n-cell c in dimension n of the result, and a cell without an id
-    is dropped (the faces and swaps of a kept cell must keep theirs).
-    Each kept cell's rows are written under the new ids.  Cells sent to
-    one id are merged and must agree on labels, faces and swaps; a
-    merged vertex keeps the least decoration sent to it.  The result is
-    truncated if any part is.
+    K's n-cell c in dimension n of the result, and ``write_rows`` writes
+    the kept cells.  A merged vertex keeps the least decoration sent to
+    it.  The result is truncated if any part is.
     """
-    faces, syms, labels = defaultdict(dict), defaultdict(dict), defaultdict(dict)
-    decoration = {}
-    truncated = False
+    faces, syms, labels, decoration, truncated = {}, {}, {}, {}, False
     for K, ids in parts:
         truncated = truncated or K.truncated
         by_dim: dict[int, dict[int, int]] = defaultdict(dict)
         for (n, c), k in ids.items():
             by_dim[n][c] = k
-        for n, here in by_dim.items():
-            lower, same = by_dim.get(n - 1, {}).__getitem__, here.__getitem__
-            frows, srows, words = K.faces[n], K.syms[n], K.labels[n]
-            out_f, out_s, out_w = faces[n], syms[n], labels[n]
-            for c, k in here.items():
-                word, frow, srow = words[c], frows[c], srows[c]
-                if frow:
-                    frow = tuple(map(lower, frow))
-                if srow:
-                    srow = tuple(map(same, srow))
-                if k not in out_w:
-                    out_w[k], out_f[k], out_s[k] = word, frow, srow
-                elif out_w[k] != word:
-                    raise PrecubeError("merged cells disagree on labels")
-                elif out_f[k] != frow:
-                    raise PrecubeError("merged cells disagree on faces")
-                elif out_s[k] != srow:
-                    raise PrecubeError("merged cells disagree on swaps")
+        write_rows(K, by_dim, faces, syms, labels)
         for v, name in K.decoration.items():
             k = ids.get((0, v))
             if k is not None and (k not in decoration or name < decoration[k]):
                 decoration[k] = name
-    return PrecubicalSet(
-        {n: rows.keys() for n, rows in faces.items()},
-        dict(faces), dict(syms), dict(labels), decoration, initial, truncated,
-    )
+    return PrecubicalSet(faces, faces, syms, labels, decoration, initial, truncated)
 
 
 def _class_ids(uf: UnionFind) -> dict:

@@ -54,7 +54,7 @@ from .encoding import (
     sym_encoding,
     vertex_ids,
 )
-from .precube import EMPTY_PRECUBE, PrecubeError, PrecubicalSet
+from .precube import EMPTY_PRECUBE, PrecubeError, PrecubicalSet, write_rows
 
 # ---------------------------------------------------------------------------
 # fibered product
@@ -449,17 +449,17 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
     numbered per dimension by (dim c, c, dim d, d), then by the class's
     least table (see the module docstring).  More than
     ``MAX_PRODUCT_CELLS`` cells raise ``PrecubeError`` before any entry
-    is built.  One pass in that order numbers two kinds of blocks and
-    writes their rows (a face pair comes before its pair):
+    is built.  One pass in that order numbers two kinds of blocks (a face
+    pair comes before its pair):
 
     - a cell paired with a vertex v: the classes of the block of (c, v)
       are the cells of c's orbit, by least position (``_orbits``), so
-      the slice K x {v} is K's rows and words through their ids, and
-      likewise {u} x L;
-    - any other pair: the entry's classes and swaps, each face slot
-      resolved once to the ids of the face pair's entry (the least pair
-      of the two orbits, through ``_pair_map`` off the identity), and
-      words that share one tuple when equal.
+      the slice K x {v} is K's rows through their ids, and likewise
+      {u} x L, each written by one ``write_rows`` call after the pass;
+    - any other pair, written in the pass: the entry's classes and
+      swaps, each face slot resolved once to the ids of the face pair's
+      entry (the least pair of the two orbits, through ``_pair_map`` off
+      the identity), and words that share one tuple when equal.
 
     Decorations and initial vertices pair up.
     """
@@ -566,15 +566,9 @@ def tensor_sync(K: PrecubicalSet, L: PrecubicalSet, cfg: Alphabet) -> Precubical
                     frows[k] = tuple([resolved[slot][z] for slot, z in rows[x]])
                     srows[k] = tuple(map(out.__getitem__, swaps[x]))
 
-    for Z, slices, first in ((L, lslice, 0), (K, kslice, 1)):  # vertices once
+    for Z, slices in ((L, lslice), (K, kslice)):
         for cell_ids in slices.values():
-            for n in Z.dims()[first:]:
-                here, below = cell_ids[n], cell_ids.get(n - 1, {})
-                zfaces, zsyms, zwords = Z.faces[n], Z.syms[n], Z.labels[n]
-                for c, k in here.items():
-                    faces[n][k] = tuple(map(below.__getitem__, zfaces[c]))
-                    syms[n][k] = tuple(map(here.__getitem__, zsyms[c]))
-                    labels[n][k] = zwords[c]
+            write_rows(Z, cell_ids, faces, syms, labels)
     cells = {p: range(counts[p]) for p in faces}
 
     def pair_vertex(u, v) -> int:

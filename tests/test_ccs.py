@@ -399,33 +399,35 @@ def test_placed_sets_keep_an_initial_vertex_that_is_not_the_first():
         assert _json(K) == _json(expected(term_str(term))), term_str(term)
 
 
-def test_a_region_is_glued_once(monkeypatch):
-    glues = []
-    original = ccs.glue
-    monkeypatch.setattr(ccs, "glue", lambda *a, **k: glues.append(1) or original(*a, **k))
-    K = compile_text("a.b.(a.nil + b.c.nil + (nu a)(a.nil + b.nil))", ALPHA)
-    assert len(glues) == 1
-    assert cell_counts(K) == [8, 6]
-
-
-def test_an_unfolding_is_glued_once(monkeypatch):
-    # the last stage of rec(x) (a.x + b.x) holds the earlier ones, and one
-    # walk numbers it: no stage is a set of its own, and no cube is built
-    glues = []
-    original = ccs.glue
-    monkeypatch.setattr(ccs, "glue", lambda *a, **k: glues.append(1) or original(*a, **k))
+def _refuse(monkeypatch, name):
+    """Make every ``hdts`` module's ``name`` raise when called."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("standard_cube was called")
+        raise AssertionError(f"{name} was called")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hdts" and hasattr(module, "standard_cube"):
-            monkeypatch.setattr(module, "standard_cube", refuse)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "hdts" and hasattr(module, name):
+            monkeypatch.setattr(module, name, refuse)
     with pytest.raises(AssertionError, match="was called"):
-        boundary("ab")  # the patch is seen by callers
+        boundary("ab")  # the patch is seen by callers: this builds a cube and truncates it
+
+
+def test_a_region_is_never_glued(monkeypatch):
+    # the walk writes its rows and the placed sets' rows into the result's tables
+    _refuse(monkeypatch, "glue")
+    K = compile_text("a.b.(a.nil + b.c.nil + (nu a)(a.nil + b.nil))", ALPHA)
+    assert cell_counts(K) == [8, 6]
+    K = compile_text("a.(b.nil || c.nil) + (nu a)(a.nil || abar.nil)", ALPHA)
+    assert cell_counts(K) == [8, 6, 2]
+
+
+def test_an_unfolding_is_never_glued(monkeypatch):
+    # the last stage of rec(x) (a.x + b.x) holds the earlier ones, and one
+    # walk numbers it: no stage is a set of its own, and no cube is built
+    _refuse(monkeypatch, "glue")
+    _refuse(monkeypatch, "standard_cube")
     K = compile_text("rec(x) (a.x + b.x)", ALPHA, unfold_depth=7)
     assert K.truncated
-    assert len(glues) == 1
     assert cell_counts(K) == [2**8 - 1, 2**8 - 2]
 
 

@@ -668,6 +668,20 @@ def test_ccs_compile_region_over_the_cell_budget_is_an_input_error(alphabet_file
     assert err == f"error: region too large: over {MAX_REGION_CELLS} cells\n"
 
 
+@pytest.mark.parametrize("term", ["rec(x) a.x", "rec(x) (a.x || nil)"])
+def test_ccs_compile_unfolding_over_the_cell_budget_is_an_input_error(alphabet_file, term):
+    # every stage has more vertices than the one before, so a million stages
+    # are refused before the second substitution, within a second of CPU time
+    argv = ("-m", "hdts.cli", "ccs", "compile", term, "--alphabet", alphabet_file,
+            "--unfold", "1000000")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    code, out, err = _run_bounded(*argv, megabytes=512, seconds=10)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: unfolding too deep: 1000000 stages, over {MAX_REGION_CELLS} cells\n"
+
+
 def test_outputs_are_deterministic(fixture_file, capsys):
     path = fixture_file("notstrong")
     assert main(["check", path]) in (0, 1)

@@ -34,7 +34,7 @@ from corpus import (
 )
 from hdts import precube
 from hdts.fixtures import double_square, not_strong_complex
-from hdts.precube import glue, identity_precube_map
+from hdts.precube import glue, identity_precube_map, write_rows
 from hdts.serialize import precube_to_json
 
 
@@ -95,6 +95,17 @@ def test_truncate():
     assert cell_counts(truncate(K, 1)) == [4, 4]
     assert cell_counts(truncate(K, 0)) == [4]
     assert truncate(K, K.dim) == K
+
+
+def test_truncate_keeps_the_initial_vertex_only_if_it_survives():
+    from corpus import ALPHA
+    from hdts import compile_text
+
+    K = compile_text("a.nil", ALPHA)
+    assert truncate(K, 0).initial == K.initial
+    empty = truncate(K, -1)
+    check_relations(empty)
+    assert empty.size == 0 and empty.initial is None and empty.decoration == {}
 
 
 def test_every_construction_satisfies_the_relations():
@@ -161,6 +172,16 @@ def test_make_precube_names_the_missing_entry(table, key, message):
     with pytest.raises(PrecubeError) as exc:
         make_precube(sq.cells, *tables.values())
     assert str(exc.value) == message
+
+
+def test_check_relations_wants_a_table_key_for_every_populated_dimension_and_no_other():
+    sq = standard_cube(("a", "b"))
+    for table in ("faces", "syms", "labels"):
+        rows = getattr(sq, table)
+        with pytest.raises(PrecubeError, match=r"has dimensions \[0, 1, 2, 3\], not \[0, 1, 2\]"):
+            check_relations(replace(sq, **{table: {**rows, 3: {}}}))
+        with pytest.raises(PrecubeError, match=r"has dimensions \[0, 1\], not \[0, 1, 2\]"):
+            check_relations(replace(sq, **{table: {n: rows[n] for n in (0, 1)}}))
 
 
 def test_check_relations_rejects_rows_of_the_wrong_length():
@@ -381,6 +402,36 @@ def test_glue_renumbers_drops_and_merges():
         {k: v for k, v in labels.items() if k[0] == 1}, {}, 0,
     )
     check_relations(out)
+
+
+def test_write_rows_renumbers_drops_and_merges():
+    a = standard_cube(("a",))
+    faces, syms, labels = {}, {}, {}
+    write_rows(a, {0: {0: 5, 1: 6}, 1: {0: 2}}, faces, syms, labels)
+    # vertex 5 is written twice and agrees; the edge has no id and is dropped
+    write_rows(a, {0: {0: 5, 1: 7}}, faces, syms, labels)
+    assert faces == {0: {5: (), 6: (), 7: ()}, 1: {2: (5, 6)}}
+    assert syms == {0: {5: (), 6: (), 7: ()}, 1: {2: ()}}
+    assert labels == {0: {5: (), 6: (), 7: ()}, 1: {2: ("a",)}}
+
+
+def test_write_rows_rejects_merges_that_disagree():
+    a, b = standard_cube(("a",)), standard_cube(("b",))
+    edge = {0: {0: 0, 1: 1}, 1: {0: 0}}
+    for K, ids, what in [(b, edge, "labels"), (a, {0: {0: 1, 1: 0}, 1: {0: 0}}, "faces")]:
+        tables = {}, {}, {}
+        write_rows(a, edge, *tables)
+        with pytest.raises(PrecubeError) as exc:
+            write_rows(K, ids, *tables)
+        assert str(exc.value) == f"merged cells disagree on {what}"
+    # two fillers of one shell agree on labels and faces, not on their swaps
+    D = double_square()
+    _, x, y = hda_check(D)[0]
+    tops = {x: 0, y: 0, **{c: k for k, c in enumerate(sorted(set(D.ncells(2)) - {x, y}), 1)}}
+    ids = {n: {c: c for c in D.ncells(n)} for n in (0, 1)}
+    with pytest.raises(PrecubeError) as exc:
+        write_rows(D, {**ids, 2: tops}, {}, {}, {})
+    assert str(exc.value) == "merged cells disagree on swaps"
 
 
 # ---------------------------------------------------------------------------
